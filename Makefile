@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet build test race bench bench-smoke events-smoke fault-smoke bench-scale bench-scale-smoke matrix-smoke prof-smoke shard-smoke bench-guard bench-append fuzz
+.PHONY: all check fmt vet build test race perfbench-check bench bench-smoke events-smoke fault-smoke bench-scale bench-scale-smoke matrix-smoke prof-smoke shard-smoke bench-guard bench-append fuzz
 
 all: check
 
@@ -8,8 +8,9 @@ all: check
 # (every package runs with the invariant auditor on), the race detector
 # over the internal packages, and the runner-memoization, event-stream,
 # fault-recovery, scale-benchmark, scenario-matrix and profiler smoke
-# tests plus the perf-regression guard (and its selftest).
-check: fmt vet build test race bench-smoke events-smoke fault-smoke bench-scale-smoke matrix-smoke prof-smoke shard-smoke bench-guard
+# tests, the benchmark module's own output checks, plus the perf-regression
+# guard (and its selftest).
+check: fmt vet build test race perfbench-check bench-smoke events-smoke fault-smoke bench-scale-smoke matrix-smoke prof-smoke shard-smoke bench-guard
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -28,6 +29,13 @@ test:
 
 race:
 	$(GO) test -race ./internal/...
+
+# perfbench-check runs the benchmark module's output checks and smokes
+# (its own Go module, so the root `go test ./...` does not build it): an
+# API change that breaks the benchmark fails here, not in the next
+# benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) test ./...
 
 # bench-smoke proves the experiment runner's memoization end to end: one
 # experiment run twice through one pool must serve the second pass from the
@@ -102,9 +110,10 @@ bench-append:
 bench:
 	$(GO) test -run NONE -bench BenchmarkEngineAudit -benchtime 10x ./internal/sim/
 
-# fuzz explores random start/scale/preempt/reclaim interleavings and
-# incremental-vs-rescan differential workloads beyond the seed corpora that
-# already run under `make test`.
+# fuzz explores random start/scale/preempt/reclaim interleavings,
+# incremental-vs-rescan differential workloads and banded-vs-full-table
+# MCKP instances beyond the seed corpora that already run under `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzChaosInterleavings -fuzztime 60s ./internal/sim/
 	$(GO) test -fuzz FuzzIncrementalVsRescan -fuzztime 60s ./internal/sched/
+	$(GO) test -fuzz FuzzMultiChoiceVsFullTable -fuzztime 60s ./internal/knapsack/

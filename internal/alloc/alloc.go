@@ -8,6 +8,8 @@
 package alloc
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"lyra/internal/cluster"
@@ -122,36 +124,29 @@ func (c *ThroughputCache) jctReduction(j *job.Job, extra int) float64 {
 	return j.Remaining/base - j.Remaining/more
 }
 
-// itemExtras returns the candidate extra-worker counts for one job: all of
-// 1..FlexRange when small, otherwise maxItems evenly spaced values always
-// including FlexRange. current (the job's present extra workers) is always
-// included so the stability bonus below has an item to attach to.
-func itemExtras(flexRange, current, maxItems int) []int {
+// appendItemExtras appends the candidate extra-worker counts for one job
+// to dst: all of 1..FlexRange when small, otherwise maxItems evenly spaced
+// values always including FlexRange. current (the job's present extra
+// workers) is always included so the stability bonus below has an item to
+// attach to. With flexRange > maxItems the spaced values are at least 1
+// and strictly increasing, so the result never repeats a count.
+func appendItemExtras(dst []int, flexRange, current, maxItems int) []int {
 	if flexRange <= maxItems {
-		out := make([]int, flexRange)
-		for i := range out {
-			out[i] = i + 1
+		for k := 1; k <= flexRange; k++ {
+			dst = append(dst, k)
 		}
-		return out
+		return dst
 	}
-	out := make([]int, 0, maxItems+1)
+	prev := 0
 	for i := 1; i <= maxItems; i++ {
 		k := i * flexRange / maxItems
-		if k == 0 {
-			k = 1
+		if prev < current && current < k {
+			dst = append(dst, current)
 		}
-		if len(out) > 0 && out[len(out)-1] == k {
-			continue
-		}
-		if current > 0 && current <= flexRange && len(out) > 0 && out[len(out)-1] < current && current < k {
-			out = append(out, current)
-		}
-		out = append(out, k)
+		dst = append(dst, k)
+		prev = k
 	}
-	if current > 0 && current <= flexRange && (len(out) == 0 || out[0] > current) {
-		out = append([]int{current}, out...)
-	}
-	return out
+	return dst
 }
 
 // StabilityBonus is the default relative value bump a job's current
@@ -164,6 +159,12 @@ func itemExtras(flexRange, current, maxItems int) []int {
 // disable per call (the ablation experiments do).
 var StabilityBonus = 1.08
 
+// MaxPhase2Items is the largest per-job item cap (Tuning.MaxItems) Phase2
+// accepts: a job's group holds at most MaxItems+1 items (the spaced counts
+// plus its current one), and a knapsack group holds at most
+// knapsack.MaxGroupItems.
+const MaxPhase2Items = knapsack.MaxGroupItems - 1
+
 // Phase2 solves the flexible-demand allocation as a multiple-choice
 // knapsack (§5.2): each elastic job contributes a group of items (one per
 // candidate extra-worker count), weights are GPUs, values are JCT
@@ -171,16 +172,36 @@ var StabilityBonus = 1.08
 // workers. It returns the target extra workers per job (jobs absent from
 // the result get zero). cache, when non-nil, serves the throughput lookups
 // from per-job memoized tables (same values, fewer model evaluations); nil
-// evaluates the model directly.
+// evaluates the model directly. Phase2 builds its working memory afresh;
+// a caller solving once per epoch should keep a Phase2Scratch instead.
 func Phase2(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, tune Tuning, cache *ThroughputCache) []Extra {
+	var s Phase2Scratch
+	return s.Phase2(jobs, capacityGPUs, sm, tune, cache)
+}
+
+// Phase2Scratch is Phase2's working memory, reused from call to call so a
+// steady-state epoch allocates only the returned targets and the knapsack's
+// choice slice. The zero value is ready to use. A scratch belongs to one
+// scheduler instance (one run) and is not safe for concurrent use.
+type Phase2Scratch struct {
+	ordered   []*job.Job
+	groupJobs []*job.Job
+	groups    [][]knapsack.Item
+	items     []knapsack.Item // group g is items[start[g]:start[g+1]]
+	extras    []int           // extra-worker count of each item
+	start     []int
+}
+
+// Phase2 is the package-level Phase2 on reused working memory.
+func (s *Phase2Scratch) Phase2(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, tune Tuning, cache *ThroughputCache) []Extra {
 	if capacityGPUs <= 0 || len(jobs) == 0 {
 		return nil
 	}
 	bonus, maxItems := tune.stabilityBonus(), tune.maxItems()
-	// Deterministic group order.
-	ordered := make([]*job.Job, len(jobs))
-	copy(ordered, jobs)
-	sort.Slice(ordered, func(i, k int) bool { return ordered[i].ID < ordered[k].ID })
+	// Deterministic group order (job IDs are unique, so any sort agrees).
+	s.ordered = append(s.ordered[:0], jobs...)
+	ordered := s.ordered
+	slices.SortFunc(ordered, func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) })
 
 	// Shortcut: if everything fits, skip the DP.
 	total := 0
@@ -196,9 +217,6 @@ func Phase2(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, tune Tuning,
 		}
 		return out
 	}
-	if capacityGPUs > total {
-		capacityGPUs = total
-	}
 
 	// Scale weights down by the common GPU granularity.
 	g := 0
@@ -209,18 +227,17 @@ func Phase2(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, tune Tuning,
 		g = 1
 	}
 
-	groups := make([][]knapsack.Item, 0, len(ordered))
-	extras := make([][]int, 0, len(ordered))
-	groupJobs := make([]*job.Job, 0, len(ordered))
+	s.groupJobs, s.items, s.extras = s.groupJobs[:0], s.items[:0], s.extras[:0]
+	s.start = append(s.start[:0], 0)
 	for _, j := range ordered {
 		fr := j.FlexRange()
 		if fr == 0 {
 			continue
 		}
 		cur := j.FlexibleWorkers()
-		ks := itemExtras(fr, cur, maxItems)
-		items := make([]knapsack.Item, len(ks))
-		for i, k := range ks {
+		from := len(s.extras)
+		s.extras = appendItemExtras(s.extras, fr, cur, maxItems)
+		for _, k := range s.extras[from:] {
 			var v float64
 			if cache != nil {
 				v = cache.jctReduction(j, k)
@@ -230,20 +247,33 @@ func Phase2(jobs []*job.Job, capacityGPUs int, sm job.ScalingModel, tune Tuning,
 			if k == cur {
 				v *= bonus
 			}
-			items[i] = knapsack.Item{
+			s.items = append(s.items, knapsack.Item{
 				Weight: k * j.GPUsPerWorker / g,
 				Value:  v,
-			}
+			})
 		}
-		groups = append(groups, items)
-		extras = append(extras, ks)
-		groupJobs = append(groupJobs, j)
+		s.groupJobs = append(s.groupJobs, j)
+		s.start = append(s.start, len(s.extras))
 	}
-	_, choice := knapsack.MultiChoice(groups, capacityGPUs/g)
-	var out []Extra
+	// Cut the groups only now: the appends above may have moved the arena.
+	s.groups = s.groups[:0]
+	for gi := range s.groupJobs {
+		s.groups = append(s.groups, s.items[s.start[gi]:s.start[gi+1]])
+	}
+	_, choice := knapsack.MultiChoice(s.groups, capacityGPUs/g)
+	n := 0
+	for _, ci := range choice {
+		if ci >= 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Extra, 0, n)
 	for gi, ci := range choice {
 		if ci >= 0 {
-			out = append(out, Extra{ID: groupJobs[gi].ID, Extra: extras[gi][ci]})
+			out = append(out, Extra{ID: s.groupJobs[gi].ID, Extra: s.extras[s.start[gi]+ci]})
 		}
 	}
 	return out

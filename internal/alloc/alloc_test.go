@@ -2,6 +2,8 @@ package alloc
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"lyra/internal/job"
@@ -133,7 +135,7 @@ func TestPhase2StabilityBonusPreventsChurn(t *testing.T) {
 }
 
 func TestItemExtrasSmallRange(t *testing.T) {
-	got := itemExtras(3, 0, Phase2MaxItems)
+	got := appendItemExtras(nil, 3, 0, Phase2MaxItems)
 	want := []int{1, 2, 3}
 	if len(got) != 3 || got[0] != want[0] || got[2] != want[2] {
 		t.Errorf("itemExtras(3) = %v", got)
@@ -141,7 +143,7 @@ func TestItemExtrasSmallRange(t *testing.T) {
 }
 
 func TestItemExtrasLargeRangeIncludesCurrentAndMax(t *testing.T) {
-	got := itemExtras(40, 7, Phase2MaxItems)
+	got := appendItemExtras(nil, 40, 7, Phase2MaxItems)
 	if got[len(got)-1] != 40 {
 		t.Errorf("max extra missing: %v", got)
 	}
@@ -202,5 +204,71 @@ func TestAFSRespectsCapacityAndRange(t *testing.T) {
 	}
 	if total != 8 {
 		t.Errorf("abundant capacity should fill both ranges: %v", got)
+	}
+}
+
+// prodShapeJobs builds n elastic jobs at the phase-2 shape of a paper-scale
+// run: mixed GPUs per worker, flexible ranges on both sides of the item
+// cap, some jobs already holding flexible workers. It also returns the
+// GPUs their full flexible demand would take.
+func prodShapeJobs(n int) ([]*job.Job, int) {
+	rng := rand.New(rand.NewSource(3))
+	jobs := make([]*job.Job, n)
+	total := 0
+	for i := range jobs {
+		gpw := 1 << rng.Intn(4)
+		lo := rng.Intn(4) + 1
+		j := job.New(i+1, 0, job.Generic, gpw, lo, lo+rng.Intn(14)+1, float64(rng.Intn(5000)+100))
+		j.Elastic = true
+		for w := 0; w < lo+rng.Intn(j.FlexRange()+1); w++ {
+			j.Workers = append(j.Workers, job.Worker{Server: w, GPUs: gpw, Flexible: w >= lo})
+		}
+		jobs[i] = j
+		total += j.FlexRange() * gpw
+	}
+	return jobs, total
+}
+
+// BenchmarkPhase2 times one scheduler's steady-state phase-2 solve: warm
+// throughput cache, reused scratch, capacity a third of the demand.
+func BenchmarkPhase2(b *testing.B) {
+	jobs, total := prodShapeJobs(80)
+	cache := NewThroughputCache(job.Imperfect)
+	var s Phase2Scratch
+	s.Phase2(jobs, total/3, job.Imperfect, Tuning{}, cache)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Phase2(jobs, total/3, job.Imperfect, Tuning{}, cache)
+	}
+}
+
+func TestPhase2SteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops values at random under -race")
+	}
+	jobs, total := prodShapeJobs(80)
+	cache := NewThroughputCache(job.Imperfect)
+	var s Phase2Scratch
+	s.Phase2(jobs, total/3, job.Imperfect, Tuning{}, cache)
+	// The returned targets and the knapsack's choice slice.
+	if n := testing.AllocsPerRun(50, func() { s.Phase2(jobs, total/3, job.Imperfect, Tuning{}, cache) }); n > 2 {
+		t.Errorf("%v allocs per steady-state Phase2, want at most 2", n)
+	}
+}
+
+func TestPhase2ScratchMatchesFresh(t *testing.T) {
+	// Reused scratch must give the same targets as a fresh one, across
+	// calls of different shapes.
+	jobs, total := prodShapeJobs(80)
+	var s Phase2Scratch
+	for _, n := range []int{80, 7, 80, 1, 40} {
+		for _, capGPUs := range []int{total / 5, total / 2, total} {
+			got := s.Phase2(jobs[:n], capGPUs, job.Imperfect, Tuning{}, nil)
+			want := Phase2(jobs[:n], capGPUs, job.Imperfect, Tuning{}, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d cap=%d: scratch %v != fresh %v", n, capGPUs, got, want)
+			}
+		}
 	}
 }

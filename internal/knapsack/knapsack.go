@@ -5,7 +5,11 @@
 // to compute the exhaustive-optimal reclaiming baseline (§7.3).
 package knapsack
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"sync"
+)
 
 // Item is one knapsack item. Weight must be non-negative; Value may be any
 // finite float.
@@ -85,16 +89,36 @@ func ZeroOneBrute(items []Item, capacity int) (float64, []int) {
 	return best, chosen
 }
 
+// MaxGroupItems is the most items one MultiChoice group may hold: picks
+// are stored as int16 item indices, with -1 meaning "nothing from this
+// group".
+const MaxGroupItems = math.MaxInt16
+
 // MultiChoice solves the multiple-choice knapsack problem (§5.2): from each
 // group take at most one item, total weight <= capacity, maximize total
 // value. It returns the best value and, per group, the index of the chosen
-// item within the group or -1 if the group contributes nothing.
+// item within the group or -1 if the group contributes nothing. Items with
+// a negative weight or a weight above capacity are never chosen. A group
+// may hold at most MaxGroupItems items; MultiChoice panics on a larger one.
 //
 // This is exactly the formulation Lyra uses for phase-2 allocation: each
 // elastic job is a group; the item for "+k workers" has weight k*GPUs and
-// value equal to the job's JCT reduction. The DP runs in
-// O(totalItems*capacity) pseudo-polynomial time, which the paper reports as
-// at most 0.02 s for 354 items and 245 GPUs.
+// value equal to the job's JCT reduction. The paper reports at most 0.02 s
+// for 354 items and 245 GPUs.
+//
+// The DP computes only the cells that can reach the answer. Let m_g be
+// group g's largest usable weight, W_g = m_0+...+m_g and S_g = m_{g+1}+...
+// After group g, every budget above W_g has the value and pick of budget
+// W_g (no item set of groups 0..g weighs more), so rows stop at
+// min(capacity, W_g) and reads above it hit a constant tail; capacity itself
+// is clamped to the sum of all m_g. And the groups after g weigh at most
+// S_g, so the recovery walk never looks at a budget of group g below
+// capacity-S_g. Each cell sees the items in index order with the same
+// comparison as the full (groups x capacity) table, so values, ties and
+// picks are bit-identical to it. Cost O(sum over g of items_g x band_g),
+// band_g = min(capacity, W_g) - max(0, capacity-S_g) + 1. Scratch rows and
+// the pick arena come from a pool: steady state allocates only the
+// returned choice slice.
 func MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	choice := make([]int, len(groups))
 	for i := range choice {
@@ -103,38 +127,107 @@ func MultiChoice(groups [][]Item, capacity int) (float64, []int) {
 	if capacity < 0 {
 		return 0, choice
 	}
-	// dp[w] after processing g groups; pick[g][w] = item chosen for group
-	// g at budget w (-1 = none).
-	dp := make([]float64, capacity+1)
-	next := make([]float64, capacity+1)
-	pick := make([][]int16, len(groups))
+	s := mckpPool.Get().(*mckpScratch)
+	defer mckpPool.Put(s)
+	n := len(groups)
+
+	// Largest usable weight per group; capacity beyond their sum is slack.
+	s.top = grow(s.top, n)
+	total := 0
 	for g, items := range groups {
-		pick[g] = make([]int16, capacity+1)
-		for w := 0; w <= capacity; w++ {
-			next[w] = dp[w]
-			pick[g][w] = -1
-			for idx, it := range items {
-				if it.Weight < 0 || it.Weight > w {
-					continue
-				}
-				if v := dp[w-it.Weight] + it.Value; v > next[w]+eps {
-					next[w] = v
-					pick[g][w] = int16(idx)
+		if len(items) > MaxGroupItems {
+			panic(fmt.Sprintf("knapsack: group %d has %d items, more than MaxGroupItems (%d)", g, len(items), MaxGroupItems))
+		}
+		m := 0
+		for _, it := range items {
+			if it.Weight <= capacity && it.Weight > m {
+				m = it.Weight
+			}
+		}
+		s.top[g] = m
+		total += m
+	}
+	capacity = min(capacity, total)
+
+	// Band [lo, hi] of each group's row and its offset in the pick arena.
+	s.lo, s.hi, s.off = grow(s.lo, n), grow(s.hi, n), grow(s.off, n)
+	size, prefix := 0, 0
+	for g := range groups {
+		prefix += s.top[g]
+		s.lo[g] = max(0, capacity-(total-prefix))
+		s.hi[g] = min(capacity, prefix)
+		s.off[g] = size
+		size += s.hi[g] - s.lo[g] + 1
+	}
+	s.pick = grow(s.pick, size)
+	s.dp, s.next = grow(s.dp, capacity+1), grow(s.next, capacity+1)
+
+	// dp[w] is the best value of the groups so far at budget w, valid on
+	// the previous group's band; next is the row being built.
+	dp, next, pick := s.dp, s.next, s.pick
+	dp[0] = 0
+	prevHi := 0
+	for g, items := range groups {
+		lo, hi := s.lo[g], s.hi[g]
+		for w := prevHi + 1; w <= hi; w++ {
+			dp[w] = dp[prevHi]
+		}
+		row := pick[s.off[g] : s.off[g]+hi-lo+1]
+		for i := range row {
+			row[i] = -1
+		}
+		copy(next[lo:hi+1], dp[lo:hi+1])
+		for idx, it := range items {
+			if it.Weight < 0 || it.Weight > hi {
+				continue
+			}
+			from := max(lo, it.Weight)
+			src := dp[from-it.Weight : hi+1-it.Weight]
+			dst := next[from : hi+1]
+			// Equal lengths let the compiler drop the loop's bounds checks.
+			at := row[from-lo:]
+			at = at[:len(dst)]
+			dst = dst[:len(src)]
+			for i, d := range src {
+				if v := d + it.Value; v > dst[i]+eps {
+					dst[i] = v
+					at[i] = int16(idx)
 				}
 			}
 		}
 		dp, next = next, dp
+		prevHi = hi
 	}
-	// Recover choices.
+
+	// Recover choices; budgets above a row's end share its last pick.
 	w := capacity
-	for g := len(groups) - 1; g >= 0; g-- {
-		idx := pick[g][w]
+	for g := n - 1; g >= 0; g-- {
+		idx := pick[s.off[g]+min(w, s.hi[g])-s.lo[g]]
 		choice[g] = int(idx)
 		if idx >= 0 {
 			w -= groups[g][idx].Weight
 		}
 	}
 	return dp[capacity], choice
+}
+
+// mckpScratch holds MultiChoice's working memory between calls: per-group
+// largest weights and bands, the two DP rows and the flat pick arena.
+type mckpScratch struct {
+	top, lo, hi, off []int
+	dp, next         []float64
+	pick             []int16
+}
+
+var mckpPool = sync.Pool{New: func() any { return new(mckpScratch) }}
+
+// grow returns s resized to n, reallocating only when it lacks capacity.
+// The contents are not cleared.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // MultiChoiceBrute solves MCKP by exhaustive enumeration for verification.

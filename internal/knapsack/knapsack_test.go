@@ -123,6 +123,16 @@ func TestMultiChoiceEmptyAndNegative(t *testing.T) {
 	}
 }
 
+func TestMultiChoiceRejectsOversizedGroup(t *testing.T) {
+	// A larger group would wrap its int16 pick index and read as "no pick".
+	defer func() {
+		if recover() == nil {
+			t.Error("group of MaxGroupItems+1 items accepted")
+		}
+	}()
+	MultiChoice([][]Item{make([]Item, MaxGroupItems+1)}, 1)
+}
+
 func TestMultiChoiceSelectionConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -204,5 +214,58 @@ func TestMultiChoicePaperScalePerformance(t *testing.T) {
 	best, choice := MultiChoice(groups, 245)
 	if best <= 0 || len(choice) != 59 {
 		t.Errorf("paper-scale MCKP produced best=%v len(choice)=%d", best, len(choice))
+	}
+}
+
+// prodShapeGroups builds an MCKP instance at the phase-2 call shape of a
+// paper-scale run: n elastic jobs with 7 candidate worker counts each,
+// weights k x GPUs-per-worker and concave JCT-reduction values. It also
+// returns the sum of the groups' largest weights.
+func prodShapeGroups(n int) ([][]Item, int) {
+	rng := rand.New(rand.NewSource(5))
+	groups := make([][]Item, n)
+	total := 0
+	for g := range groups {
+		gpw := 1 << rng.Intn(4)
+		base := float64(rng.Intn(8) + 1)
+		remaining := rng.Float64() * 1e5
+		items := make([]Item, 7)
+		for k := range items {
+			items[k] = Item{Weight: (k + 1) * gpw, Value: remaining/base - remaining/(base+float64(k+1))}
+		}
+		groups[g] = items
+		total += items[len(items)-1].Weight
+	}
+	return groups, total
+}
+
+// BenchmarkMultiChoice times the kernel at the phase-2 call shape, with
+// capacity tight (a third of the largest weights combined) and slack (all
+// of them).
+func BenchmarkMultiChoice(b *testing.B) {
+	groups, total := prodShapeGroups(80)
+	for _, bc := range []struct {
+		name     string
+		capacity int
+	}{{"cap=third", total / 3}, {"cap=total", total}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MultiChoice(groups, bc.capacity)
+			}
+		})
+	}
+}
+
+func TestMultiChoiceSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops values at random under -race")
+	}
+	groups, total := prodShapeGroups(80)
+	for _, capacity := range []int{total / 3, total} {
+		MultiChoice(groups, capacity) // size the pooled scratch
+		if n := testing.AllocsPerRun(50, func() { MultiChoice(groups, capacity) }); n > 1 {
+			t.Errorf("capacity %d: %v allocs per call, want at most 1 (the returned choice slice)", capacity, n)
+		}
 	}
 }

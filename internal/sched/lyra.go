@@ -43,10 +43,12 @@ type Lyra struct {
 
 	// cache memoizes per-job nominal-throughput tables for the phase-2
 	// MCKP (see alloc.ThroughputCache: pure memoization, bit-identical
-	// decisions). p2target is the per-epoch target map, reused across
-	// epochs. Both are per-instance — scheduler factories build a fresh
-	// instance per run, so concurrent simulations stay independent.
+	// decisions). p2 is the MCKP's working memory and p2target the
+	// per-epoch target map, both reused across epochs. All three are
+	// per-instance — scheduler factories build a fresh instance per run, so
+	// concurrent simulations stay independent.
 	cache    *alloc.ThroughputCache
+	p2       alloc.Phase2Scratch
 	p2target map[int]int
 }
 
@@ -115,7 +117,7 @@ func (l *Lyra) phase2(st *sim.State) {
 		l.cache = alloc.NewThroughputCache(st.Scaling)
 	}
 	sp := st.Prof.Start("phase2.mckp")
-	targets := alloc.Phase2(cands, capacity, st.Scaling, l.Tuning, l.cache)
+	targets := l.p2.Phase2(cands, capacity, st.Scaling, l.Tuning, l.cache)
 	sp.End()
 	if st.Obs.Enabled() {
 		tf := make([]obs.Fields, 0, len(targets))

@@ -270,7 +270,8 @@ type Config struct {
 	// stay independent).
 	StabilityBonus float64
 	// Phase2MaxItems overrides the MCKP items generated per elastic job.
-	// Zero value defaults to 8.
+	// Zero value defaults to 8; at most alloc.MaxPhase2Items (32,766), so
+	// every job's group fits the knapsack's pick index.
 	Phase2MaxItems int
 
 	// Audit enables the invariant audit layer (internal/invariant): after
@@ -486,8 +487,8 @@ func (c Config) Validate() error {
 	if n.StabilityBonus <= 0 {
 		return fmt.Errorf("lyra: StabilityBonus %v must be positive (1 disables the damping)", n.StabilityBonus)
 	}
-	if n.Phase2MaxItems < 1 {
-		return fmt.Errorf("lyra: Phase2MaxItems %d must be at least 1", n.Phase2MaxItems)
+	if n.Phase2MaxItems < 1 || n.Phase2MaxItems > alloc.MaxPhase2Items {
+		return fmt.Errorf("lyra: Phase2MaxItems %d outside [1, %d] (a job's knapsack group holds Phase2MaxItems+1 items at most)", n.Phase2MaxItems, alloc.MaxPhase2Items)
 	}
 	if n.RestartBackoff {
 		if n.BackoffBase <= 0 {

@@ -2,8 +2,11 @@ package lyra
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
+	"lyra/internal/alloc"
 	"lyra/internal/job"
 )
 
@@ -94,6 +97,24 @@ func TestRunRejectsUnknownKinds(t *testing.T) {
 	cfg.Reclaim = "bogus"
 	if _, err := Run(cfg, tr); err == nil {
 		t.Error("unknown reclaim policy accepted")
+	}
+}
+
+func TestValidateBoundsPhase2MaxItems(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Phase2MaxItems = alloc.MaxPhase2Items
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("largest allowed Phase2MaxItems rejected: %v", err)
+	}
+	for _, n := range []int{-1, alloc.MaxPhase2Items + 1, 1 << 20} {
+		cfg.Phase2MaxItems = n
+		err := cfg.Validate()
+		if err == nil {
+			t.Fatalf("Phase2MaxItems %d accepted; its knapsack groups overflow the pick index", n)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "Phase2MaxItems") || !strings.Contains(msg, strconv.Itoa(n)) {
+			t.Errorf("error %q does not name the field and value %d", msg, n)
+		}
 	}
 }
 

@@ -24,6 +24,9 @@ go test ./...
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
+echo "== perfbench-check (benchmark module output checks)"
+(cd perfbench && go test ./...)
+
 echo "== bench-smoke (runner memoization end to end)"
 ./scripts/bench_smoke.sh
 
