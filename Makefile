@@ -84,10 +84,11 @@ matrix-smoke:
 prof-smoke:
 	@./scripts/prof_smoke.sh
 
-# shard-smoke proves the sharded multi-cluster engine (DESIGN.md §14) end
-# to end: a 4-shard audited run is byte-deterministic across two processes
-# (lyra-events -diff over concurrent shard goroutines), and a saturated
-# topology forces the arbitrator's loan-conflict retry path with the
+# shard-smoke proves the sharded topology of the one simulation engine
+# (DESIGN.md §14) end to end: a 4-shard audited run is byte-deterministic
+# across two processes (lyra-events -diff over concurrent shard
+# goroutines), and a contended 3+3 topology forces the arbitrator's
+# loan-conflict retry path under the global headroom cap, with the
 # cross-shard conservation auditor on.
 shard-smoke:
 	@./scripts/shard_smoke.sh

@@ -2,6 +2,7 @@ package lyra_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,8 +16,11 @@ import (
 // before/after equivalence proof for the maintain-on-write cluster core: a
 // single placement choice, capacity count, or loan decision differing from
 // the recompute-on-read implementation shifts at least one event and fails
-// the comparison. Regenerate the file only for an intentional behavior
-// change, by writing r.Events from the exact scenario below.
+// the comparison. The scenario runs twice: unsharded (TrainingShards 0)
+// and as the explicit 1+1 topology the unsharded config maps to — both
+// must produce the one golden stream. Regenerate the file only for an
+// intentional behavior change, by writing r.Events from the exact
+// scenario below.
 func TestGoldenEventStream(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_events.jsonl"))
 	if err != nil {
@@ -28,20 +32,25 @@ func TestGoldenEventStream(t *testing.T) {
 	tcfg.TrainingGPUs = 64
 	tr := lyra.GenerateTrace(tcfg)
 
-	cfg := lyra.DefaultConfig()
-	cfg.Cluster = lyra.ClusterConfig{TrainingServers: 8, InferenceServers: 8}
-	cfg.Events = true
-	cfg.SchedInterval = 300
-	cfg.Audit = true
+	for _, shards := range []int{0, 1} {
+		t.Run(fmt.Sprintf("shards-%d+%d", shards, shards), func(t *testing.T) {
+			cfg := lyra.DefaultConfig()
+			cfg.Cluster = lyra.ClusterConfig{TrainingServers: 8, InferenceServers: 8}
+			cfg.Events = true
+			cfg.SchedInterval = 300
+			cfg.Audit = true
+			cfg.TrainingShards, cfg.InferenceShards = shards, shards
 
-	r, err := lyra.Run(cfg, tr)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !bytes.Equal(r.Events, want) {
-		d := firstDiff(r.Events, want)
-		t.Fatalf("event stream diverged from pre-refactor golden output: got %d bytes, want %d; first difference at byte %d (context: %q vs %q)",
-			len(r.Events), len(want), d, window(r.Events, d), window(want, d))
+			r, err := lyra.Run(cfg, tr)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if !bytes.Equal(r.Events, want) {
+				d := firstDiff(r.Events, want)
+				t.Fatalf("event stream diverged from pre-refactor golden output: got %d bytes, want %d; first difference at byte %d (context: %q vs %q)",
+					len(r.Events), len(want), d, window(r.Events, d), window(want, d))
+			}
+		})
 	}
 }
 

@@ -1,24 +1,27 @@
-// Package arbiter implements the global capacity arbitrator of the sharded
-// topology: the component that sits where internal/orchestrator sits for a
-// single cluster. It routes arriving jobs to training shards (least-loaded,
-// deterministic lowest-ID tie-break) and brokers cross-shard GPU loans with
-// an optimistic shared-state protocol — every borrowing shard's loan
-// proposal is formed against a possibly-stale snapshot of the global free
-// pool taken at epoch start, conflicts are detected at commit time when a
-// proposed server was already granted to a lower-ID shard, and losers are
-// retried against the live view a bounded number of times. The existing
-// loan/reclaim/return verbs become shard-to-shard transfers through
-// sim.Shards.Transfer.
+// Package arbiter implements the global capacity arbitrator: the resource
+// orchestrator of the simulator's sharded topology (sim.Shards). It routes
+// arriving jobs to training shards (least-loaded, deterministic lowest-ID
+// tie-break) and brokers cross-shard GPU loans with an optimistic
+// shared-state protocol — every borrowing shard's loan proposal is formed
+// against a possibly-stale snapshot of the global free pool taken at epoch
+// start, conflicts are detected at commit time when a proposed server was
+// already granted to a lower-ID shard, and losers are retried against the
+// live view a bounded number of times. The loan/reclaim/return verbs are
+// shard-to-shard transfers through sim.Shards.Transfer.
 //
-// A 1-training+1-inference topology reduces to the unsharded orchestrator
-// decision-for-decision: one borrower means the stale snapshot is never
-// stale, the per-shard cap equals the inference scheduler's target exactly,
-// and the emitted event stream is byte-identical to Orchestrator.Epoch's.
+// Every simulation runs through the arbiter: the unsharded configuration
+// is the 1-training+1-inference topology, where one borrower means the
+// stale snapshot is never stale and the shard's cap is exactly the
+// inference scheduler's target. Reclaiming and the voluntary idle return
+// are the orchestrator's single implementation (orchestrator.Reclaim,
+// orchestrator.ReturnIdle) with a cross-shard transfer home as the release
+// step. The global headroom is charged after every shard's verb, so
+// however many shards borrow, Σ on-loan never exceeds Σ of the inference
+// shards' targets.
 package arbiter
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"lyra/internal/cluster"
@@ -29,17 +32,14 @@ import (
 	"lyra/internal/sim"
 )
 
-// loanBuffer mirrors orchestrator.loanBuffer: slack kept on loan beyond
-// measured demand (zero keeps on-loan servers saturated, Figure 9).
-const loanBuffer = 0
-
 // DefaultMaxRetries bounds the conflict-retry rounds of one loan commit.
 const DefaultMaxRetries = 3
 
 // Arbiter is the global capacity arbitrator. The flags mirror
-// orchestrator.Orchestrator so per-shard decisions match the unsharded
-// policy exactly; Targets holds one inference-capacity targeter per
-// inference shard (nil when loaning is disabled — Route still works).
+// orchestrator.Orchestrator's, so a shard decides exactly as the testbed's
+// single-cluster orchestrator would; Targets holds one inference-capacity
+// targeter per inference shard (nil when loaning is disabled — Route still
+// works).
 type Arbiter struct {
 	// Targets[m] is inference shard m's loan-target source (usually the
 	// reactive inference.Scheduler, optionally wrapped in a Forecaster).
@@ -58,6 +58,13 @@ type Arbiter struct {
 	// MaxRetries bounds the conflict-retry rounds when a loan proposal
 	// loses the optimistic commit race (0 means DefaultMaxRetries).
 	MaxRetries int
+
+	// Per-epoch scratch, reused across epochs: per-training-shard busy
+	// on-loan servers and loan demand, per-inference-shard servers out on
+	// loan, and the free inference pool as the stale epoch-start snapshot
+	// and as the live view a conflict retry re-proposes from.
+	busy, demand, loanedFrom []int
+	stale, live              []int
 }
 
 // New returns an arbiter with the default retry bound.
@@ -96,121 +103,156 @@ func (a *Arbiter) Route(sh *sim.Shards, j *job.Job) int {
 }
 
 // Epoch implements sim.ShardArbiter: one arbitration epoch over the
-// sharded topology.
+// topology.
 //
 // The epoch has three parts. First the serial target pass reads each
 // inference shard's loan target and nets it against the servers that shard
 // already has out on loan, yielding the signed global headroom; it also
 // snapshots the global free inference pool — the possibly-stale view every
-// borrower will propose against. Then the concurrent assessment runs each
-// training shard's read-only demand estimate (busy on-loan servers plus
-// the orchestrator's loan-demand formula) on its own goroutine over purely
-// local state. Finally the serial commit walks borrowing shards in ID
-// order: each computes its capacity cap (its current loan plus the global
-// headroom — for one borrower exactly the inference scheduler's target),
-// emits the per-shard orch.epoch decision, and executes at most one verb:
-// loan (optimistic proposal against the stale snapshot, conflict-retry on
-// commit), reclaim (the unsharded reclaim verbatim over the shard's own
-// borrowed servers, returns routed home), or voluntary idle return.
+// borrower will propose against. Then the assessment runs each training
+// shard's read-only demand estimate (busy on-loan servers plus the
+// orchestrator's loan-demand formula): inline for one training shard,
+// otherwise on one goroutine per shard over purely local state. Finally
+// the serial commit walks training shards in ID order: each computes its
+// capacity cap (its current loan plus the remaining global headroom — for
+// one borrower exactly the inference scheduler's target), emits the
+// per-shard orch.epoch decision, and executes at most one verb: loan
+// (optimistic proposal against the stale snapshot, conflict-retry on
+// commit), reclaim, or voluntary idle return. The shard's net change in
+// on-loan servers is then charged against the headroom, so a later shard
+// can only borrow what earlier shards left and, under negative headroom,
+// only reclaims what earlier reclaims did not already cover.
 func (a *Arbiter) Epoch(sh *sim.Shards) {
 	train := sh.Train()
 	now := sh.States[0].Now
 
 	// Serial target pass: signed headroom and the stale free-pool snapshot.
-	headroom := 0
-	loanedFrom := make([]int, len(sh.Inference()))
+	a.loanedFrom = resize(a.loanedFrom, len(sh.Inference()))
 	for _, st := range train {
 		st.Cluster.EachPoolServer(cluster.PoolOnLoan, func(s *cluster.Server) bool {
-			loanedFrom[sh.Home(s.ID)-sh.NumTrain]++
+			a.loanedFrom[sh.Home(s.ID)-sh.NumTrain]++
 			return true
 		})
 	}
+	headroom := 0
 	for m := range sh.Inference() {
-		headroom += a.Targets[m].TargetOnLoan(int64(now)) - loanedFrom[m]
+		headroom += a.Targets[m].TargetOnLoan(int64(now)) - a.loanedFrom[m]
 	}
-	stale := a.freeInference(sh)
+	a.stale = freeInference(sh, a.stale)
 
-	// Concurrent assessment: per-shard busy and demand, read-only, no obs.
-	busy := make([]int, len(train))
-	demand := make([]int, len(train))
-	var wg sync.WaitGroup
-	for n := range train {
-		wg.Add(1)
-		go func(n int, st *sim.State) {
-			defer wg.Done()
-			busy[n] = st.Cluster.BusyServers(cluster.PoolOnLoan)
-			demand[n] = orchestrator.DemandServers(st, a.IncludeElasticDemand, a.LoanOnlyDemand)
-		}(n, train[n])
+	// Assessment: per-shard busy and demand, read-only, no obs.
+	a.busy = resize(a.busy, len(train))
+	a.demand = resize(a.demand, len(train))
+	assess := func(n int, st *sim.State) {
+		a.busy[n] = st.Cluster.BusyServers(cluster.PoolOnLoan)
+		a.demand[n] = orchestrator.DemandServers(st, a.IncludeElasticDemand, a.LoanOnlyDemand)
 	}
-	wg.Wait()
+	if len(train) == 1 {
+		assess(0, train[0])
+	} else {
+		var wg sync.WaitGroup
+		for n, st := range train {
+			wg.Add(1)
+			go func(n int, st *sim.State) {
+				defer wg.Done()
+				assess(n, st)
+			}(n, st)
+		}
+		wg.Wait()
+	}
 
 	// Serial commit in shard ID order.
 	for n, st := range train {
+		shard := -1
+		if sh.Tagged {
+			shard = n
+		}
 		cur := st.Cluster.PoolSize(cluster.PoolOnLoan)
 		capSrv := cur + headroom
 		if capSrv < 0 {
 			capSrv = 0
 		}
-		want := busy[n] + demand[n] + loanBuffer
+		busy := a.busy[n]
+		want := busy + a.demand[n] + orchestrator.LoanBuffer
 		if want > capSrv {
 			want = capSrv
 		}
 		if a.EmergencyReclaim {
-			want = orchestrator.RaiseForCapacityLoss(st, busy[n], want, capSrv)
+			want = orchestrator.RaiseForCapacityLoss(st, busy, want, capSrv)
 		}
 		if st.Obs.Enabled() {
 			f := obs.Fields{
-				"cap_srv": capSrv, "on_loan": cur, "busy": busy[n],
-				"demand_srv": demand[n], "want": want,
+				"cap_srv": capSrv, "on_loan": cur, "busy": busy,
+				"demand_srv": a.demand[n], "want": want,
 			}
-			if sh.Tagged {
-				f["shard"] = n
+			if shard >= 0 {
+				f["shard"] = shard
 			}
 			st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchEpoch).WithF(f))
 		}
 		switch {
 		case want > cur:
 			sp := st.Prof.Start("loan")
-			a.loan(sh, n, want-cur, stale)
+			a.loan(sh, n, want-cur)
 			sp.End()
 		case capSrv < cur:
 			sp := st.Prof.Start("reclaim")
-			a.reclaim(sh, n, cur-capSrv)
+			orchestrator.Reclaim(st, a.Policy, a.Less, cur-capSrv, sendHome(sh), shard)
 			sp.End()
 		case want < cur:
 			sp := st.Prof.Start("return-idle")
-			a.returnIdle(sh, n, cur-want)
+			orchestrator.ReturnIdle(st, cur-want, sendHome(sh), shard)
 			sp.End()
 		}
+		headroom -= st.Cluster.PoolSize(cluster.PoolOnLoan) - cur
 	}
 }
 
-// freeInference returns the global free inference pool — every server
-// currently attached to an inference shard's inference pool — in ascending
-// server ID order.
-func (a *Arbiter) freeInference(sh *sim.Shards) []int {
-	var ids []int
+// resize returns buf with length n and every element zeroed, reusing its
+// backing array when it is large enough.
+func resize(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// sendHome is the arbiter's release step for reclaimed and returned
+// servers: each goes back into its home inference shard's pool.
+func sendHome(sh *sim.Shards) func(sid int) {
+	return func(sid int) { sh.Transfer(sid, sh.Home(sid), cluster.PoolInference) }
+}
+
+// freeInference overwrites buf with the global free inference pool — every
+// server currently attached to an inference shard's inference pool — in
+// ascending server ID order. No sort is needed: inference shards hold
+// ascending, contiguous home ID ranges, their pools iterate in ID order,
+// and an inference pool only ever holds its own shard's home servers (the
+// engine's cross-shard audit checks this).
+func freeInference(sh *sim.Shards, buf []int) []int {
+	buf = buf[:0]
 	for _, st := range sh.Inference() {
 		st.Cluster.EachPoolServer(cluster.PoolInference, func(s *cluster.Server) bool {
-			ids = append(ids, s.ID)
+			buf = append(buf, s.ID)
 			return true
 		})
 	}
-	sort.Ints(ids)
-	return ids
+	return buf
 }
 
 // loan grants up to n servers to training shard `to` through the
 // optimistic shared-state protocol: the proposal is formed against the
-// stale epoch-start snapshot (lowest IDs first, the unsharded
-// orchestrator's pick order), and each proposed server is validated at
-// commit time against the live topology. A server that was granted to a
-// lower-ID shard earlier this epoch fails validation, emits an
-// arb.conflict event (cause loan-conflict-retry), and is replaced by
+// stale epoch-start snapshot (lowest IDs first), and each proposed server
+// is validated at commit time against the live topology. A server that was
+// granted to a lower-ID shard earlier this epoch fails validation, emits
+// an arb.conflict event (cause loan-conflict-retry), and is replaced by
 // re-proposing from the live view — bounded by MaxRetries rounds, so a
 // storm of shards proposing the same servers converges instead of
-// livelocking.
-func (a *Arbiter) loan(sh *sim.Shards, to, n int, stale []int) {
+// livelocking. The live view goes into its own buffer: the stale snapshot
+// must survive for the shards that commit after this one.
+func (a *Arbiter) loan(sh *sim.Shards, to, n int) {
 	if n <= 0 {
 		return
 	}
@@ -220,7 +262,7 @@ func (a *Arbiter) loan(sh *sim.Shards, to, n int, stale []int) {
 		maxRetries = DefaultMaxRetries
 	}
 	granted := make([]int, 0, n)
-	proposal := stale
+	proposal := a.stale
 	for round := 0; ; round++ {
 		for _, sid := range proposal {
 			if len(granted) == n {
@@ -245,11 +287,11 @@ func (a *Arbiter) loan(sh *sim.Shards, to, n int, stale []int) {
 			break
 		}
 		// Retry from the live view, excluding what we already hold.
-		live := a.freeInference(sh)
-		if len(live) == 0 {
+		a.live = freeInference(sh, a.live)
+		if len(a.live) == 0 {
 			break
 		}
-		proposal = live
+		proposal = a.live
 	}
 	if st.Obs.Enabled() && len(granted) > 0 {
 		ev := obs.Ev(st.Now, obs.KindOrchLoan).WithF(obs.Fields{
@@ -262,146 +304,5 @@ func (a *Arbiter) loan(sh *sim.Shards, to, n int, stale []int) {
 		}
 		st.Obs.Emit(ev)
 		st.Obs.Add("orch.loans", 1)
-	}
-}
-
-// returnIdle hands back up to n of shard `from`'s empty borrowed servers —
-// a voluntary trim, lowest IDs first, each transferred to its home
-// inference shard.
-func (a *Arbiter) returnIdle(sh *sim.Shards, from, n int) {
-	if n <= 0 {
-		return
-	}
-	st := sh.States[from]
-	picked := make([]int, 0, n)
-	st.Cluster.EachPoolServer(cluster.PoolOnLoan, func(s *cluster.Server) bool {
-		if s.Used() > 0 {
-			return true
-		}
-		picked = append(picked, s.ID)
-		return len(picked) < n
-	})
-	var moved []int
-	for _, sid := range picked {
-		sh.Transfer(sid, sh.Home(sid), cluster.PoolInference)
-		if st.Obs.Enabled() {
-			moved = append(moved, sid)
-		}
-	}
-	if len(moved) > 0 {
-		f := obs.Fields{"servers": moved, "count": len(moved)}
-		if sh.Tagged {
-			f["shard"] = from
-		}
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReturn).WithF(f))
-		st.Obs.Add("orch.returns", 1)
-	}
-}
-
-// reclaim vacates n of shard `from`'s borrowed servers and transfers them
-// to their home inference shards. The candidate set, plan, preemption
-// order, collateral accounting, and every emitted event mirror the
-// unsharded orchestrator's reclaim verbatim — only the final pool move is
-// a cross-shard transfer.
-func (a *Arbiter) reclaim(sh *sim.Shards, from, n int) {
-	st := sh.States[from]
-	onLoan := st.Cluster.PoolServers(cluster.PoolOnLoan)
-	lookup := func(id int) *job.Job { return st.Running[id] }
-	sp := st.Prof.Start("reclaim.plan")
-	plan := a.Policy.Plan(onLoan, lookup, n)
-	sp.End()
-	if len(plan.Servers) == 0 {
-		return
-	}
-	planned := make(map[int]bool, len(plan.Servers))
-	demand := 0
-	for _, sid := range plan.Servers {
-		planned[sid] = true
-		demand += st.Cluster.Server(sid).NumGPUs
-	}
-
-	if st.Obs.Enabled() {
-		cands := make([]int, 0, len(onLoan))
-		for _, s := range onLoan {
-			cands = append(cands, s.ID)
-		}
-		picks := make([]obs.Fields, 0, len(plan.Picks))
-		for _, p := range plan.Picks {
-			picks = append(picks, obs.Fields{
-				"server": p.Server, "phase": p.Phase,
-				"cost": p.Cost, "reuse": p.Reuse, "damage": p.Damage,
-			})
-		}
-		f := obs.Fields{
-			"want": n, "candidates": cands, "servers": plan.Servers,
-			"preempt_jobs": plan.PreemptJobs, "scale_in": orchestrator.ScaleInPairs(plan.ScaleIn),
-			"flex_only": plan.FlexOnly, "picks": picks,
-		}
-		if sh.Tagged {
-			f["shard"] = from
-		}
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindReclaimPlan).WithF(f))
-	}
-
-	savedCause := st.Cause
-	st.Cause = "reclaim"
-	asp := st.Prof.Start("reclaim.apply")
-	defer func() { asp.End(); st.Cause = savedCause }()
-
-	// Release flexible server groups first (pure scale-in, no preemption),
-	// jobs in sorted order so the event stream stays deterministic.
-	scaleJobs := make([]int, 0, len(plan.ScaleIn))
-	for id := range plan.ScaleIn {
-		scaleJobs = append(scaleJobs, id)
-	}
-	sort.Ints(scaleJobs)
-	for _, id := range scaleJobs {
-		j := st.Running[id]
-		if j == nil {
-			continue
-		}
-		for _, sid := range plan.ScaleIn[id] {
-			st.RemoveFlexibleOnServer(j, sid)
-		}
-	}
-
-	// Preempt jobs whose base workers sit on the selected servers; GPUs on
-	// non-selected servers are the collateral damage of §7.3.
-	collateral := 0
-	for _, id := range plan.PreemptJobs {
-		j := st.Running[id]
-		if j == nil {
-			continue
-		}
-		for _, w := range j.Workers {
-			if !planned[w.Server] {
-				collateral += w.GPUs
-			}
-		}
-		st.Preempt(j, a.Less)
-	}
-
-	for _, sid := range plan.Servers {
-		sh.Transfer(sid, sh.Home(sid), cluster.PoolInference)
-	}
-
-	st.ReclaimOps++
-	st.ReclaimedSrv += len(plan.Servers)
-	st.FlexSatisfied += plan.FlexOnly
-	st.DemandGPUs += demand
-	st.VacatedGPUs += demand + collateral
-
-	if st.Obs.Enabled() {
-		f := obs.Fields{
-			"servers": plan.Servers, "preempted": len(plan.PreemptJobs),
-			"demand_gpus": demand, "collateral_gpus": collateral,
-			"flex_only": plan.FlexOnly,
-		}
-		if sh.Tagged {
-			f["shard"] = from
-		}
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReclaim).WithF(f))
-		st.Obs.Add("orch.reclaims", 1)
-		st.Obs.Observe("orch.collateral_gpus", float64(collateral))
 	}
 }

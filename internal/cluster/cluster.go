@@ -391,6 +391,51 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
+// Carve builds the cluster shape cfg as a sharded topology: nTrain
+// training-shard clusters followed by nInf inference-shard clusters, each
+// over its own contiguous slice of the global server ID space (training
+// ranges first, matching the ID layout New gives the same shape). Servers
+// are dealt evenly, the remainder going to the lowest-numbered shards, so
+// a 1+1 carve holds exactly New(cfg)'s servers under the same IDs. The
+// GPU-type default is resolved once here, so a training-only shard cannot
+// re-trigger it.
+func Carve(cfg Config, nTrain, nInf int) (train, inf []*Cluster) {
+	if cfg.GPUsPerServer == 0 {
+		cfg.GPUsPerServer = DefaultGPUsPerServer
+	}
+	if cfg.TrainingGPU == V100 && cfg.InferenceGPU == V100 {
+		cfg.InferenceGPU = T4
+	}
+	firstID, shard := 0, 0
+	carve := func(total, n int, training bool) []*Cluster {
+		out := make([]*Cluster, n)
+		for i := range out {
+			cnt := total / n
+			if i < total%n {
+				cnt++
+			}
+			sc := Config{
+				GPUsPerServer: cfg.GPUsPerServer,
+				TrainingGPU:   cfg.TrainingGPU, InferenceGPU: cfg.InferenceGPU,
+				RackSize: cfg.RackSize, ZoneRacks: cfg.ZoneRacks,
+				FirstID: firstID, Shard: shard,
+			}
+			if training {
+				sc.TrainingServers = cnt
+			} else {
+				sc.InferenceServers = cnt
+			}
+			out[i] = New(sc)
+			firstID += cnt
+			shard++
+		}
+		return out
+	}
+	train = carve(cfg.TrainingServers, nTrain, true)
+	inf = carve(cfg.InferenceServers, nInf, false)
+	return train, inf
+}
+
 // FirstID returns the lowest server ID of the cluster's home ID range.
 func (c *Cluster) FirstID() int { return c.firstID }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"lyra"
+	"lyra/internal/arbiter"
 	"lyra/internal/cluster"
 	"lyra/internal/inference"
 	"lyra/internal/metrics"
@@ -47,11 +48,14 @@ func Calibration(p Params) []*Table {
 	simV, err := pool.Do(simKey, func() (any, error) {
 		tr := trace.GenerateTestbed(p.Seed, 60)
 		simSched := sched.NewLyra()
-		c := cluster.New(cluster.TestbedConfig())
+		train, inf := cluster.Carve(cluster.TestbedConfig(), 1, 1)
 		util := inference.GenerateUtilization(inference.DefaultUtilizationConfig(p.Seed+13), tr.Horizon, 300)
 		infSched := inference.NewScheduler(util, cluster.TestbedConfig().InferenceServers, 0.02)
-		orch := orchestrator.New(infSched, reclaim.Lyra{}, simSched.Less)
-		res := sim.New(c, tr.Clone().Jobs, tr.Horizon, simSched, orch, sim.Config{
+		arb := arbiter.New([]orchestrator.LoanTargeter{infSched}, reclaim.Lyra{}, simSched.Less)
+		res := sim.New(sim.Topology{
+			Train: train, Inf: inf, Scheds: []sim.Scheduler{simSched},
+			Arbiter: arb, Orchestrate: true,
+		}, tr.Clone().Jobs, tr.Horizon, sim.Config{
 			SchedInterval: 30, OrchInterval: 300, Audit: p.Audit,
 		}).Run()
 		return calibrationSim{

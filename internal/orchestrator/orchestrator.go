@@ -1,9 +1,12 @@
-// Package orchestrator implements Lyra's resource orchestrator (Figure 4):
-// every epoch it receives the inference scheduler's loan/reclaim target,
-// moves whole servers across the management boundary (the whitelist
-// operation of §6), and executes reclaiming — releasing flexible server
-// groups by scaling elastic jobs in, then preempting jobs on the servers
-// selected by the reclaiming policy (§4).
+// Package orchestrator implements the pieces of Lyra's resource
+// orchestrator (Figure 4): the inference side's loan targets (LoanTargeter,
+// Forecaster), the training side's loan-demand estimate, and the one
+// implementation of reclaiming — releasing flexible server groups by
+// scaling elastic jobs in, then preempting jobs on the servers selected by
+// the reclaiming policy (§4) — and of the voluntary idle return. The
+// simulator's arbiter (internal/arbiter) drives them per training shard.
+// Orchestrator.Epoch is the single-State epoch the prototype testbed
+// (internal/testbed) runs every orchestrator interval.
 package orchestrator
 
 import (
@@ -58,29 +61,31 @@ func New(inf LoanTargeter, policy reclaim.Policy, less func(a, b *job.Job) bool)
 	return &Orchestrator{Inf: inf, Policy: policy, Less: less}
 }
 
-// loanBuffer is the slack kept on loan beyond measured demand. Zero keeps
+// LoanBuffer is the slack kept on loan beyond measured demand. Zero keeps
 // the on-loan servers saturated (Figure 9: usage consistently above 92%) at
 // the price of loans lagging a demand spike by one orchestrator epoch.
-const loanBuffer = 0
+const LoanBuffer = 0
 
-// Epoch implements sim.Orchestrator. The inference scheduler's target is a
-// *cap* on loaning, not a mandate: Lyra borrows only as many servers as the
-// training side can actually use (pending base demand plus unmet elastic
-// flexible demand, plus a small buffer), which is what keeps the paper's
-// on-loan servers above 92% utilization (Figure 9). Idle on-loan servers
+// Epoch runs one orchestrator epoch over a single State, for the testbed
+// (simulations go through internal/arbiter). The inference scheduler's
+// target is a *cap* on loaning, not a mandate: Lyra borrows only as many
+// servers as the training side can actually use (pending base demand plus
+// unmet elastic flexible demand, plus a small buffer), which is what keeps
+// the paper's on-loan servers above 92% utilization (Figure 9). Idle on-loan servers
 // beyond demand are returned voluntarily — no preemption — while a cap
 // decrease forces reclaiming through the policy.
 func (o *Orchestrator) Epoch(st *sim.State) {
 	capSrv := o.Inf.TargetOnLoan(int64(st.Now))
 	cur := st.Cluster.PoolSize(cluster.PoolOnLoan)
-	busy := o.busyOnLoanServers(st)
-	demandSrv := o.demandServers(st)
-	want := busy + demandSrv + loanBuffer
+	// On-loan servers hosting any workers are never trimmed voluntarily.
+	busy := st.Cluster.BusyServers(cluster.PoolOnLoan)
+	demandSrv := DemandServers(st, o.IncludeElasticDemand, o.LoanOnlyDemand)
+	want := busy + demandSrv + LoanBuffer
 	if want > capSrv {
 		want = capSrv
 	}
 	if o.EmergencyReclaim {
-		want = o.raiseForCapacityLoss(st, busy, want, capSrv)
+		want = RaiseForCapacityLoss(st, busy, want, capSrv)
 	}
 	if st.Obs.Enabled() {
 		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchEpoch).WithF(obs.Fields{
@@ -95,11 +100,11 @@ func (o *Orchestrator) Epoch(st *sim.State) {
 		sp.End()
 	case capSrv < cur:
 		sp := st.Prof.Start("reclaim")
-		o.reclaim(st, cur-capSrv)
+		Reclaim(st, o.Policy, o.Less, cur-capSrv, o.moveHome(st, "reclaim"), -1)
 		sp.End()
 	case want < cur:
 		sp := st.Prof.Start("return-idle")
-		o.returnIdle(st, cur-want)
+		ReturnIdle(st, cur-want, o.moveHome(st, "return idle"), -1)
 		sp.End()
 	}
 	if o.Audit != nil {
@@ -110,21 +115,14 @@ func (o *Orchestrator) Epoch(st *sim.State) {
 	}
 }
 
-// raiseForCapacityLoss is the emergency-reclaim policy: when a correlated
-// outage quarantines enough training servers that the healthy training
-// capacity no longer covers the running jobs' gang floor, the loan target
-// is raised by the deficit (converted at the T4 memory-doubling rate) so
-// on-loan capacity is pulled in — and kept — ahead of the voluntary
-// idle-return path. The inference scheduler's cap still binds: the raise
-// never exceeds capSrv, so inference's utilization threshold holds.
-func (o *Orchestrator) raiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
-	return RaiseForCapacityLoss(st, busy, want, capSrv)
-}
-
-// RaiseForCapacityLoss is the package-level form of the emergency-reclaim
-// policy, shared with the sharded arbiter (internal/arbiter) so a
-// 1-training+1-inference sharded topology reproduces the unsharded
-// orchestrator's decisions byte-for-byte.
+// RaiseForCapacityLoss is the emergency-reclaim policy, shared with the
+// arbiter (internal/arbiter): when a correlated outage quarantines enough
+// training servers that the healthy training capacity no longer covers the
+// running jobs' gang floor, the loan target is raised by the deficit
+// (converted at the T4 memory-doubling rate) so on-loan capacity is pulled
+// in — and kept — ahead of the voluntary idle-return path. The inference
+// scheduler's cap still binds: the raise never exceeds capSrv, so
+// inference's utilization threshold holds.
 func RaiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
 	trainCap := st.Cluster.TotalGPUs(cluster.PoolTraining)
 	floor := 0
@@ -154,25 +152,12 @@ func RaiseForCapacityLoss(st *sim.State, busy, want, capSrv int) int {
 	return raised
 }
 
-// busyOnLoanServers counts on-loan servers currently hosting any workers;
-// they are never trimmed voluntarily. O(1) off the cluster's maintained
-// empty-server counter.
-func (o *Orchestrator) busyOnLoanServers(st *sim.State) int {
-	return st.Cluster.BusyServers(cluster.PoolOnLoan)
-}
-
-// demandServers estimates how many additional inference servers the
+// DemandServers estimates how many additional inference servers the
 // training side could fill right now: the pending base demand plus the
 // running elastic jobs' unmet flexible demand, beyond the free schedulable
 // GPUs, converted at the T4 memory-doubling rate (§2.1: local batches
-// split, twice the GPUs per worker).
-func (o *Orchestrator) demandServers(st *sim.State) int {
-	return DemandServers(st, o.IncludeElasticDemand, o.LoanOnlyDemand)
-}
-
-// DemandServers is the package-level form of the loan-demand estimate,
-// shared with the sharded arbiter so per-shard demand assessments match the
-// unsharded orchestrator's exactly.
+// split, twice the GPUs per worker). The arbiter's per-shard assessment
+// uses it too.
 func DemandServers(st *sim.State, includeElastic, loanOnly bool) int {
 	freeT, freeL := st.FreeSchedulableGPUs()
 	demand := 0
@@ -213,12 +198,15 @@ func DemandServers(st *sim.State, includeElastic, loanOnly bool) int {
 	return (shortfall + perServer - 1) / perServer
 }
 
-// returnIdle hands back up to n empty on-loan servers — a voluntary trim,
-// so only servers with no workers qualify and nothing is preempted.
-func (o *Orchestrator) returnIdle(st *sim.State, n int) {
-	// Collect candidates first, then move: Move re-indexes pools, so it
-	// must not run inside a live pool iteration. Lowest IDs go first,
-	// matching the pre-index slice order.
+// ReturnIdle hands back up to n of st's empty on-loan servers — a
+// voluntary trim, so only servers with no workers qualify and nothing is
+// preempted. Lowest IDs go first. release moves each picked server out of
+// the on-loan pool (a same-cluster Move, or a transfer to the server's home
+// shard); shard >= 0 tags the emitted event with the training shard index,
+// -1 leaves it untagged.
+func ReturnIdle(st *sim.State, n int, release func(sid int), shard int) {
+	// Collect candidates first, then release: a release re-indexes pools,
+	// so it must not run inside a live pool iteration.
 	if n <= 0 {
 		return
 	}
@@ -230,21 +218,23 @@ func (o *Orchestrator) returnIdle(st *sim.State, n int) {
 		picked = append(picked, s.ID)
 		return len(picked) < n
 	})
-	var moved []int
 	for _, sid := range picked {
-		if err := st.Cluster.Move(sid, cluster.PoolInference); err != nil {
-			failMove(st, "return idle", sid, cluster.PoolInference, err)
-		}
-		if st.Obs.Enabled() {
-			moved = append(moved, sid)
-		}
+		release(sid)
 	}
-	if len(moved) > 0 {
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReturn).WithF(obs.Fields{
-			"servers": moved, "count": len(moved),
-		}))
+	if len(picked) > 0 && st.Obs.Enabled() {
+		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReturn).WithF(tagShard(obs.Fields{
+			"servers": picked, "count": len(picked),
+		}, shard)))
 		st.Obs.Add("orch.returns", 1)
 	}
+}
+
+// tagShard adds the shard decoration to an event payload when shard >= 0.
+func tagShard(f obs.Fields, shard int) obs.Fields {
+	if shard >= 0 {
+		f["shard"] = shard
+	}
+	return f
 }
 
 // loan moves n inference servers onto the training scheduler's whitelist.
@@ -276,6 +266,16 @@ func (o *Orchestrator) loan(st *sim.State, n int) {
 	}
 }
 
+// moveHome returns the release step of a single-cluster orchestrator: the
+// vacated server moves back into the inference pool.
+func (o *Orchestrator) moveHome(st *sim.State, op string) func(sid int) {
+	return func(sid int) {
+		if err := st.Cluster.Move(sid, cluster.PoolInference); err != nil {
+			failMove(st, op, sid, cluster.PoolInference, err)
+		}
+	}
+}
+
 // failMove raises a structured pool-membership violation for a failed
 // cross-pool server move.
 func failMove(st *sim.State, op string, sid int, to cluster.Pool, err error) {
@@ -287,16 +287,21 @@ func failMove(st *sim.State, op string, sid int, to cluster.Pool, err error) {
 	})
 }
 
-// reclaim vacates n on-loan servers and returns them to the inference
-// cluster, recording preemption and collateral-damage accounting on the
-// state.
-func (o *Orchestrator) reclaim(st *sim.State, n int) {
+// Reclaim vacates n of st's on-loan servers chosen by policy: flexible
+// server groups are released first (pure scale-in), then the jobs whose
+// base workers sit on the selected servers are preempted (re-enqueued in
+// less order), and each vacated server is handed to release (a
+// same-cluster Move to the inference pool, or a transfer to the server's
+// home shard). Preemption and collateral-damage accounting land on st;
+// shard >= 0 tags the emitted events with the training shard index, -1
+// leaves them untagged.
+func Reclaim(st *sim.State, policy reclaim.Policy, less func(a, b *job.Job) bool, n int, release func(sid int), shard int) {
 	// PoolServers returns a defensive copy, so the candidate snapshot stays
-	// valid while the plan's Moves re-index the pools below.
+	// valid while the releases below re-index the pools.
 	onLoan := st.Cluster.PoolServers(cluster.PoolOnLoan)
 	lookup := func(id int) *job.Job { return st.Running[id] }
 	sp := st.Prof.Start("reclaim.plan")
-	plan := o.Policy.Plan(onLoan, lookup, n)
+	plan := policy.Plan(onLoan, lookup, n)
 	sp.End()
 	if len(plan.Servers) == 0 {
 		return
@@ -320,11 +325,11 @@ func (o *Orchestrator) reclaim(st *sim.State, n int) {
 				"cost": p.Cost, "reuse": p.Reuse, "damage": p.Damage,
 			})
 		}
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindReclaimPlan).WithF(obs.Fields{
+		st.Obs.Emit(obs.Ev(st.Now, obs.KindReclaimPlan).WithF(tagShard(obs.Fields{
 			"want": n, "candidates": cands, "servers": plan.Servers,
-			"preempt_jobs": plan.PreemptJobs, "scale_in": scaleInPairs(plan.ScaleIn),
+			"preempt_jobs": plan.PreemptJobs, "scale_in": ScaleInPairs(plan.ScaleIn),
 			"flex_only": plan.FlexOnly, "picks": picks,
-		}))
+		}, shard)))
 	}
 
 	// The state methods called below tag their lifecycle events with the
@@ -366,13 +371,11 @@ func (o *Orchestrator) reclaim(st *sim.State, n int) {
 				collateral += w.GPUs
 			}
 		}
-		st.Preempt(j, o.Less)
+		st.Preempt(j, less)
 	}
 
 	for _, sid := range plan.Servers {
-		if err := st.Cluster.Move(sid, cluster.PoolInference); err != nil {
-			failMove(st, "reclaim", sid, cluster.PoolInference, err)
-		}
+		release(sid)
 	}
 
 	st.ReclaimOps++
@@ -382,22 +385,18 @@ func (o *Orchestrator) reclaim(st *sim.State, n int) {
 	st.VacatedGPUs += demand + collateral
 
 	if st.Obs.Enabled() {
-		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReclaim).WithF(obs.Fields{
+		st.Obs.Emit(obs.Ev(st.Now, obs.KindOrchReclaim).WithF(tagShard(obs.Fields{
 			"servers": plan.Servers, "preempted": len(plan.PreemptJobs),
 			"demand_gpus": demand, "collateral_gpus": collateral,
 			"flex_only": plan.FlexOnly,
-		}))
+		}, shard)))
 		st.Obs.Add("orch.reclaims", 1)
 		st.Obs.Observe("orch.collateral_gpus", float64(collateral))
 	}
 }
 
-// scaleInPairs flattens a scale-in map into deterministic [job, server]
+// ScaleInPairs flattens a scale-in map into deterministic [job, server]
 // pairs sorted by job then server.
-func scaleInPairs(m map[int][]int) [][2]int { return ScaleInPairs(m) }
-
-// ScaleInPairs is the package-level form of the scale-in flattening, shared
-// with the sharded arbiter's reclaim-plan event payload.
 func ScaleInPairs(m map[int][]int) [][2]int {
 	out := make([][2]int, 0, len(m))
 	ids := make([]int, 0, len(m))

@@ -241,58 +241,6 @@ func TestCollateralAccounting(t *testing.T) {
 	}
 }
 
-func TestOrchestratorEndToEndDiurnal(t *testing.T) {
-	// Full engine run with a diurnal utilization: loaning and reclaiming
-	// happen, invariants hold, all jobs finish.
-	c := cluster.New(cluster.Config{TrainingServers: 4, InferenceServers: 8})
-	util := inference.GenerateUtilization(inference.DefaultUtilizationConfig(3), 86400, 300)
-	infSched := inference.NewScheduler(util, 8, 0.02)
-	var jobs []*job.Job
-	for i := 0; i < 60; i++ {
-		j := job.New(i, int64(i*300), job.Generic, 2, 4, 4, float64(2500+i*60))
-		j.Fungible = i%2 == 0
-		jobs = append(jobs, j)
-	}
-	s := testSched{}
-	o := New(infSched, reclaim.Lyra{}, s.Less)
-	res := sim.New(c, jobs, 86400, s, o, sim.Config{Audit: true}).Run()
-	if res.Completed != 60 {
-		t.Fatalf("completed %d/60", res.Completed)
-	}
-	if res.ReclaimOps == 0 {
-		t.Error("diurnal pattern should force reclaiming")
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	if c.PoolSize(cluster.PoolOnLoan) != infSched.TargetOnLoan(86400) {
-		t.Logf("final on-loan %d, target %d (allowed: reclaim happens on epochs)",
-			c.PoolSize(cluster.PoolOnLoan), infSched.TargetOnLoan(86400))
-	}
-}
-
-// testSched is a FIFO scheduler that uses on-loan servers for fungible
-// jobs.
-type testSched struct{}
-
-func (testSched) Less(a, b *job.Job) bool {
-	if a.Arrival != b.Arrival {
-		return a.Arrival < b.Arrival
-	}
-	return a.ID < b.ID
-}
-
-func (testSched) Schedule(st *sim.State) {
-	for _, j := range st.Pending {
-		opt := place.PreferTraining(j.Fungible)
-		ws, ok := place.Gang(st.Cluster, j, j.MinWorkers, opt)
-		if ok {
-			st.Start(j, ws)
-		}
-	}
-	st.CompactPending()
-}
-
 // TestEmergencyReclaimRaisesLoanTarget: when crashes shrink the healthy
 // training pool below the aggregate gang floor of the running jobs, an
 // orchestrator with EmergencyReclaim raises its loan target ahead of any

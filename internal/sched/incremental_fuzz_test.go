@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lyra/internal/arbiter"
 	"lyra/internal/cluster"
 	"lyra/internal/fault"
 	"lyra/internal/inference"
@@ -19,25 +20,31 @@ import (
 
 // FuzzIncrementalVsRescan is the differential gate of the dirty-set layer
 // (DESIGN.md §10): every random workload — arrivals, finishes, elastic
-// resizes, preemptions, injected crashes/recoveries and orchestrator moves —
-// runs twice, once through the maintained-index scheduler path and once
-// through the retained full-rescan reference path (sim.Config.Rescan), with
-// the invariant auditor and the incremental recount oracle on. The two runs
-// must produce byte-identical decision-trace streams and identical per-job
-// outcomes. A third pair runs without event recording, where the
-// quiescent-epoch skip is live, and must reproduce the same outcomes again.
+// resizes, preemptions, injected crashes/recoveries and arbiter
+// loans/reclaims/returns — runs twice, once through the maintained-index
+// scheduler path and once through the retained full-rescan reference path
+// (sim.Config.Rescan), with the invariant auditor and the incremental
+// recount oracle on. The two runs must produce byte-identical
+// decision-trace streams and identical per-job outcomes. A third pair runs
+// without event recording, where the quiescent-epoch skip is live, and
+// must reproduce the same outcomes again. The shape input picks the
+// topology: 1+1 (the unsharded configuration) or 2+2, where the arbiter
+// routes jobs and brokers loans between shards.
 func FuzzIncrementalVsRescan(f *testing.F) {
-	f.Add(int64(1), uint8(20), uint8(0), false)
-	f.Add(int64(7), uint8(33), uint8(1), true)
-	f.Add(int64(42), uint8(48), uint8(2), false)
-	f.Add(int64(-11), uint8(25), uint8(3), true)
-	f.Add(int64(99), uint8(40), uint8(4), true)
-	f.Add(int64(1234), uint8(60), uint8(0), true)
-	f.Add(int64(15), uint8(30), uint8(0), true) // rack outages + degraded mode
-	f.Add(int64(21), uint8(44), uint8(3), true) // rack outages + degraded mode
-	f.Add(int64(-9), uint8(36), uint8(4), true) // rack outages, plain recovery
-	f.Add(int64(36), uint8(50), uint8(2), true) // degraded mode, server crashes only
-	f.Fuzz(func(t *testing.T, seed int64, njobs uint8, schedSel uint8, faults bool) {
+	f.Add(int64(1), uint8(20), uint8(0), false, false)
+	f.Add(int64(7), uint8(33), uint8(1), true, false)
+	f.Add(int64(42), uint8(48), uint8(2), false, false)
+	f.Add(int64(-11), uint8(25), uint8(3), true, false)
+	f.Add(int64(99), uint8(40), uint8(4), true, false)
+	f.Add(int64(1234), uint8(60), uint8(0), true, false)
+	f.Add(int64(15), uint8(30), uint8(0), true, false) // rack outages + degraded mode
+	f.Add(int64(21), uint8(44), uint8(3), true, false) // rack outages + degraded mode
+	f.Add(int64(-9), uint8(36), uint8(4), true, false) // rack outages, plain recovery
+	f.Add(int64(36), uint8(50), uint8(2), true, false) // degraded mode, server crashes only
+	f.Add(int64(5), uint8(40), uint8(0), false, true)  // 2+2: routing, cross-shard loans
+	f.Add(int64(33), uint8(56), uint8(1), true, true)  // 2+2 with rack outages + degraded mode
+	f.Add(int64(-2), uint8(48), uint8(4), true, true)  // 2+2, Pollux, server crashes
+	f.Fuzz(func(t *testing.T, seed int64, njobs uint8, schedSel uint8, faults, twoByTwo bool) {
 		const horizon = int64(20000)
 		n := int(njobs%64) + 4
 
@@ -75,15 +82,27 @@ func FuzzIncrementalVsRescan(f *testing.F) {
 			}
 		}
 
+		shards := 1
+		if twoByTwo {
+			shards = 2
+		}
 		run := func(rescan bool, rec *obs.Recorder) *sim.Result {
 			jobs := genJobs()
-			c := cluster.New(cluster.Config{TrainingServers: 4, InferenceServers: 4})
-			s := newSched()
-			util := inference.GenerateUtilization(
-				inference.DefaultUtilizationConfig(seed+13), horizon, 300)
-			infSched := inference.NewScheduler(util, 4, 0.1)
-			orch := orchestrator.New(infSched, reclaim.Lyra{}, s.Less)
-			orch.IncludeElasticDemand = true
+			cc := cluster.Config{TrainingServers: 4, InferenceServers: 4}
+			tp := sim.Topology{Orchestrate: true, RefTopo: cluster.New(cc)}
+			tp.Train, tp.Inf = cluster.Carve(cc, shards, shards)
+			targets := make([]orchestrator.LoanTargeter, shards)
+			for n := 0; n < shards; n++ {
+				tp.Scheds = append(tp.Scheds, newSched())
+				util := inference.GenerateUtilization(
+					inference.DefaultUtilizationConfig(seed+13+int64(101*n)), horizon, 300)
+				infSched := inference.NewScheduler(util, tp.Inf[n].NumServers(), 0.1)
+				targets[n] = infSched
+				tp.InfUtil = append(tp.InfUtil, infSched.UtilizationAt)
+			}
+			arb := arbiter.New(targets, reclaim.Lyra{}, tp.Scheds[0].Less)
+			arb.IncludeElasticDemand = true
+			tp.Arbiter = arb
 			var plan *fault.Plan
 			if faults {
 				plan = &fault.Plan{Seed: seed + 1, ServerMTBF: 9000, ServerMTTR: 600}
@@ -100,9 +119,6 @@ func FuzzIncrementalVsRescan(f *testing.F) {
 				Rescan: rescan,
 				Obs:    rec,
 				Faults: plan,
-				InferenceUtil: func(ts int64) float64 {
-					return infSched.UtilizationAt(ts)
-				},
 			}
 			if faults && seed%3 == 0 {
 				// Every third seed turns the degraded-mode policies on, so
@@ -114,7 +130,7 @@ func FuzzIncrementalVsRescan(f *testing.F) {
 				cfg.HystWindow = 4000
 				cfg.HystHold = 700
 			}
-			return sim.New(c, jobs, horizon, s, orch, cfg).Run()
+			return sim.New(tp, jobs, horizon, cfg).Run()
 		}
 
 		// Pair 1: events on. The skip is disabled (recording runs always

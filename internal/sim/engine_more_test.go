@@ -5,46 +5,38 @@ import (
 	"testing"
 
 	"lyra/internal/cluster"
+	"lyra/internal/invariant"
 	"lyra/internal/job"
 	"lyra/internal/place"
 )
 
-// loanOrch is a minimal orchestrator: it loans one inference server on its
+// loanArb is a minimal arbiter: it loans one inference server on its
 // first epoch and reclaims it (preempting) on the second.
-type loanOrch struct{ epochs int }
+type loanArb struct{ epochs int }
 
-func (o *loanOrch) Epoch(st *State) {
-	o.epochs++
-	switch o.epochs {
-	case 1:
-		for _, s := range st.Cluster.PoolServers(cluster.PoolInference) {
-			if err := st.Cluster.Move(s.ID, cluster.PoolOnLoan); err != nil {
-				panic(err)
-			}
-			break
+func (*loanArb) Route(*Shards, *job.Job) int { return 0 }
+
+func (a *loanArb) Epoch(sh *Shards) {
+	a.epochs++
+	train, inf := sh.Train()[0], sh.Inference()[0]
+	switch a.epochs {
+	case 1, 3:
+		// Epoch 3: inference traffic subsides, loan again so the
+		// preempted job can restart and finish.
+		if srvs := inf.Cluster.PoolServers(cluster.PoolInference); len(srvs) > 0 {
+			sh.Transfer(srvs[0].ID, 0, cluster.PoolOnLoan)
 		}
 	case 2:
-		for _, s := range st.Cluster.PoolServers(cluster.PoolOnLoan) {
+		for _, s := range train.Cluster.PoolServers(cluster.PoolOnLoan) {
 			for _, id := range s.Jobs() {
-				st.Preempt(st.Running[id], fifoSched{}.Less)
+				train.Preempt(train.Running[id], fifoSched{}.Less)
 			}
-			if err := st.Cluster.Move(s.ID, cluster.PoolInference); err != nil {
-				panic(err)
-			}
+			sh.Transfer(s.ID, sh.Home(s.ID), cluster.PoolInference)
 		}
-		st.ReclaimOps++
-		st.ReclaimedSrv++
-		st.DemandGPUs += 8
-		st.VacatedGPUs += 10 // 2 GPUs of collateral
-	case 3:
-		// Inference traffic subsides: loan again so the preempted job
-		// can restart and finish.
-		for _, s := range st.Cluster.PoolServers(cluster.PoolInference) {
-			if err := st.Cluster.Move(s.ID, cluster.PoolOnLoan); err != nil {
-				panic(err)
-			}
-			break
-		}
+		train.ReclaimOps++
+		train.ReclaimedSrv++
+		train.DemandGPUs += 8
+		train.VacatedGPUs += 10 // 2 GPUs of collateral
 	}
 }
 
@@ -63,10 +55,11 @@ func (loanSched) Schedule(st *State) {
 }
 
 func TestEngineOrchestratorPathAndCollateral(t *testing.T) {
-	c := smallCluster(0, 2)
+	tp := testTopo(0, 2, loanSched{})
+	tp.Arbiter, tp.Orchestrate = &loanArb{}, true
 	j := job.New(0, 0, job.Generic, 2, 1, 1, 5000)
 	j.Fungible = true
-	e := New(c, []*job.Job{j}, 3600, loanSched{}, &loanOrch{}, Config{Audit: true})
+	e := New(tp, []*job.Job{j}, 3600, Config{Audit: true})
 	res := e.Run()
 	if res.Completed != 1 {
 		t.Fatalf("completed %d/1 (preempted job should restart after re-loan... it cannot here)", res.Completed)
@@ -83,10 +76,10 @@ func TestEngineOrchestratorPathAndCollateral(t *testing.T) {
 }
 
 func TestEngineInferenceUtilInOverallUsage(t *testing.T) {
-	c := smallCluster(1, 1)
+	tp := testTopo(1, 1, fifoSched{})
+	tp.InfUtil = []func(int64) float64{func(int64) float64 { return 0.5 }}
 	j := job.New(0, 0, job.Generic, 8, 1, 1, 3600)
-	cfg := Config{InferenceUtil: func(int64) float64 { return 0.5 }, Audit: true}
-	res := New(c, []*job.Job{j}, 3600, fifoSched{}, nil, cfg).Run()
+	res := New(tp, []*job.Job{j}, 3600, Config{Audit: true}).Run()
 	// Training: 8/8 busy. Inference: 0.5*8 = 4 busy. Overall = 12/16.
 	if got := res.MeanOverallUsage(); math.Abs(got-0.75) > 1e-9 {
 		t.Errorf("overall usage = %v, want 0.75", got)
@@ -97,9 +90,9 @@ func TestEngineInferenceUtilInOverallUsage(t *testing.T) {
 }
 
 func TestEngineMaxTimeCutsRunawayJobs(t *testing.T) {
-	c := smallCluster(1, 0)
+	tp := testTopo(1, 0, fifoSched{})
 	long := job.New(0, 0, job.Generic, 8, 1, 1, 1e7) // ~116 days
-	res := New(c, []*job.Job{long}, 3600, fifoSched{}, nil, Config{MaxTime: 7200, Audit: true}).Run()
+	res := New(tp, []*job.Job{long}, 3600, Config{MaxTime: 7200, Audit: true}).Run()
 	if res.Completed != 0 {
 		t.Error("job beyond MaxTime should not complete")
 	}
@@ -112,9 +105,9 @@ func TestEngineMaxTimeCutsRunawayJobs(t *testing.T) {
 }
 
 func TestOnLoanUsageNaNWhenNothingLoaned(t *testing.T) {
-	c := smallCluster(1, 0)
+	tp := testTopo(1, 0, fifoSched{})
 	j := job.New(0, 0, job.Generic, 1, 1, 1, 600)
-	res := New(c, []*job.Job{j}, 3600, fifoSched{}, nil, Config{Audit: true}).Run()
+	res := New(tp, []*job.Job{j}, 3600, Config{Audit: true}).Run()
 	if res.MeanOnLoanUsage() != 0 {
 		t.Errorf("on-loan usage with no loans = %v, want 0", res.MeanOnLoanUsage())
 	}
@@ -154,4 +147,28 @@ func TestRemoveFlexibleOnServerTargetsOnlyThatServer(t *testing.T) {
 	if j.NumWorkers() != 1 {
 		t.Errorf("workers after scale-in = %d, want base 1", j.NumWorkers())
 	}
+}
+
+// TestAuditInferencePoolHoldsHomeServersOnly: the cross-shard audit
+// requires every server in an inference shard's inference pool to have
+// that shard as its home (the arbiter's free-pool snapshot skips a sort on
+// the strength of it). A server released into the wrong inference shard
+// keeps ownership and conservation intact, so only this rule can catch it.
+func TestAuditInferencePoolHoldsHomeServersOnly(t *testing.T) {
+	train, inf := cluster.Carve(cluster.Config{TrainingServers: 1, InferenceServers: 2}, 1, 2)
+	e := New(Topology{Train: train, Inf: inf, Scheds: []Scheduler{fifoSched{}}}, nil, 3600, Config{Audit: true})
+	e.auditAfter(event{kind: evOrch}) // the carved topology is clean
+
+	// Server 2's home is inference shard 2; release it into shard 1.
+	e.sh.Transfer(2, 1, cluster.PoolInference)
+	defer func() {
+		ie, ok := recover().(*invariant.Error)
+		if !ok {
+			t.Fatal("wrong-shard release passed the cross-shard audit")
+		}
+		if v := ie.Violations[0]; v.Rule != invariant.RuleCrossShard || v.Subject != "server 2" {
+			t.Fatalf("violation = %+v, want %s on server 2", v, invariant.RuleCrossShard)
+		}
+	}()
+	e.auditAfter(event{kind: evOrch})
 }

@@ -25,12 +25,12 @@ func BenchmarkEngineEvents(b *testing.B) {
 		b.Run(fmt.Sprintf("events=%s", name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				c := smallCluster(8, 0)
+				tp := testTopo(8, 0, fifoSched{})
 				jobs := make([]*job.Job, 0, 300)
 				for k := 0; k < 300; k++ {
 					jobs = append(jobs, job.New(k, int64(k*251%86400), job.Generic, 1+k%4, 1, 1, float64(300+97*k%3600)))
 				}
-				e := New(c, jobs, 172800, fifoSched{}, nil, Config{Obs: sinks[name]()})
+				e := New(tp, jobs, 172800, Config{Obs: sinks[name]()})
 				b.StartTimer()
 				e.Run()
 			}

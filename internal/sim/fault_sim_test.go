@@ -112,7 +112,8 @@ func TestCrashServerScalesInFlexibleOnlyWorkers(t *testing.T) {
 // plan with the auditor on: every job must still complete (requeued, never
 // lost), crashes and recoveries must both fire, and the books must balance.
 func TestEngineFaultsCompleteAllJobs(t *testing.T) {
-	c := smallCluster(4, 0)
+	tp := testTopo(4, 0, fifoSched{})
+	c := tp.Train[0]
 	jobs := make([]*job.Job, 0, 40)
 	for k := 0; k < 40; k++ {
 		j := job.New(k, int64(k*613%20000), job.Generic, 1+k%4, 1, 1, float64(400+131*k%2500))
@@ -120,7 +121,7 @@ func TestEngineFaultsCompleteAllJobs(t *testing.T) {
 		jobs = append(jobs, j)
 	}
 	plan := &fault.Plan{Seed: 9, ServerMTBF: 6000, ServerMTTR: 400, StragglerFrac: 0.2}
-	e := New(c, jobs, 400000, fifoSched{}, nil, Config{Audit: true, Faults: plan})
+	e := New(tp, jobs, 400000, Config{Audit: true, Faults: plan})
 	res := e.Run()
 	if res.Completed != len(jobs) {
 		t.Fatalf("completed %d/%d jobs under crashes", res.Completed, len(jobs))
@@ -144,13 +145,13 @@ func TestEngineFaultsCompleteAllJobs(t *testing.T) {
 // the plan seed, never drawn from execution order.
 func TestEngineFaultRunsAreDeterministic(t *testing.T) {
 	run := func() *Result {
-		c := smallCluster(3, 0)
+		tp := testTopo(3, 0, fifoSched{})
 		jobs := make([]*job.Job, 0, 30)
 		for k := 0; k < 30; k++ {
 			jobs = append(jobs, job.New(k, int64(k*401%10000), job.Generic, 1+k%3, 1, 1, float64(300+89*k%1800)))
 		}
 		plan := &fault.Plan{Seed: 4, ServerMTBF: 5000, ServerMTTR: 300, StragglerFrac: 0.3}
-		return New(c, jobs, 300000, fifoSched{}, nil, Config{Audit: true, Faults: plan}).Run()
+		return New(tp, jobs, 300000, Config{Audit: true, Faults: plan}).Run()
 	}
 	a, b := run(), run()
 	if a.Crashes == 0 {
@@ -206,8 +207,9 @@ func FuzzFaultSchedules(f *testing.F) {
 			cfg.HystWindow = 3000
 			cfg.HystHold = 600
 		}
-		c := cluster.New(cluster.Config{TrainingServers: 3, InferenceServers: 1})
-		e := New(c, jobs, 250000, fifoSched{}, nil, cfg)
+		tp := testTopo(3, 1, fifoSched{})
+		c := tp.Train[0]
+		e := New(tp, jobs, 250000, cfg)
 		defer func() {
 			if r := recover(); r != nil {
 				t.Fatalf("invariant violation under fault schedule %+v: %v", *plan, r)

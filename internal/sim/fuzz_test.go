@@ -69,20 +69,20 @@ func chaosScaleOutOpts(j *job.Job) place.Options {
 	return opt
 }
 
-// chaosOrch randomly loans inference servers and reclaims on-loan servers
+// chaosArb randomly loans inference servers and reclaims on-loan servers
 // (flexible scale-in first, then preemption — the legal vacate order).
-type chaosOrch struct {
+type chaosArb struct {
 	rng  *rand.Rand
 	less func(a, b *job.Job) bool
 }
 
-func (o *chaosOrch) Epoch(st *State) {
+func (*chaosArb) Route(*Shards, *job.Job) int { return 0 }
+
+func (o *chaosArb) Epoch(sh *Shards) {
+	st, inf := sh.Train()[0], sh.Inference()[0]
 	if o.rng.Intn(2) == 0 {
-		if srvs := st.Cluster.PoolServers(cluster.PoolInference); len(srvs) > 0 {
-			s := srvs[o.rng.Intn(len(srvs))]
-			if err := st.Cluster.Move(s.ID, cluster.PoolOnLoan); err != nil {
-				panic(err)
-			}
+		if srvs := inf.Cluster.PoolServers(cluster.PoolInference); len(srvs) > 0 {
+			sh.Transfer(srvs[o.rng.Intn(len(srvs))].ID, 0, cluster.PoolOnLoan)
 		}
 	}
 	if o.rng.Intn(2) == 0 {
@@ -98,15 +98,13 @@ func (o *chaosOrch) Epoch(st *State) {
 					st.Preempt(j, o.less)
 				}
 			}
-			if err := st.Cluster.Move(s.ID, cluster.PoolInference); err != nil {
-				panic(err)
-			}
+			sh.Transfer(s.ID, sh.Home(s.ID), cluster.PoolInference)
 		}
 	}
 }
 
 // FuzzChaosInterleavings replays random job mixes through the chaos
-// scheduler and orchestrator with the auditor on. The seed corpus runs as
+// scheduler and arbiter with the auditor on. The seed corpus runs as
 // part of the ordinary test suite; `go test -fuzz=FuzzChaosInterleavings
 // ./internal/sim/` explores further. A finding means some interleaving of
 // start/scale/preempt/reclaim corrupts the state accounting.
@@ -130,17 +128,20 @@ func FuzzChaosInterleavings(f *testing.F) {
 			j.Checkpoint = rng.Intn(2) == 0
 			jobs = append(jobs, j)
 		}
-		c := cluster.New(cluster.Config{TrainingServers: 3, InferenceServers: 3})
 		sched := &chaosSched{rng: rng}
-		e := New(c, jobs, 20000, sched, &chaosOrch{rng: rng, less: sched.Less}, Config{Audit: true})
+		tp := testTopo(3, 3, sched)
+		tp.Arbiter, tp.Orchestrate = &chaosArb{rng: rng, less: sched.Less}, true
+		e := New(tp, jobs, 20000, Config{Audit: true})
 		defer func() {
 			if r := recover(); r != nil {
 				t.Fatalf("invariant violation under chaos interleaving: %v", r)
 			}
 		}()
 		e.Run()
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatal(err)
+		for _, c := range append(tp.Train, tp.Inf...) {
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

@@ -33,13 +33,13 @@ func (testFIFO) Schedule(st *State) {
 
 // TestSampleZeroCapacityNoNaN pins the Engine.sample fix: a degenerate
 // cluster with zero schedulable capacity must not poison the overall-usage
-// series with NaN/Inf samples (the InferenceUtil == nil branch used to
-// divide by totTrain+totInf unguarded, and the series mean does not filter
-// NaN).
+// series with NaN/Inf samples (the branch without an inference
+// utilization series used to divide by totTrain+totInf unguarded, and the
+// series mean does not filter NaN).
 func TestSampleZeroCapacityNoNaN(t *testing.T) {
-	c := cluster.New(cluster.Config{TrainingServers: 0, InferenceServers: 0})
+	tp := testTopo(0, 0, testFIFO{})
 	j := job.New(1, 0, job.Generic, 1, 1, 1, 100)
-	e := New(c, []*job.Job{j}, 600, testFIFO{}, nil, Config{Audit: true, MaxTime: 900})
+	e := New(tp, []*job.Job{j}, 600, Config{Audit: true, MaxTime: 900})
 	res := e.Run()
 	if got := res.MeanOverallUsage(); math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("MeanOverallUsage = %g on a zero-capacity cluster, want a finite value", got)
@@ -66,8 +66,8 @@ func TestQuiescentEpochSkip(t *testing.T) {
 		return []*job.Job{a, b, c}
 	}
 	run := func(rescan bool) *Result {
-		c := cluster.New(cluster.Config{TrainingServers: 2, InferenceServers: 2})
-		return New(c, mkJobs(), 4000, testFIFO{}, nil,
+		tp := testTopo(2, 2, testFIFO{})
+		return New(tp, mkJobs(), 4000,
 			Config{Audit: true, Rescan: rescan}).Run()
 	}
 	fast, ref := run(false), run(true)
@@ -103,8 +103,8 @@ func TestNoteFirstTryDelta(t *testing.T) {
 		return []*job.Job{fits, never}
 	}
 	run := func(rescan bool) *Result {
-		c := cluster.New(cluster.Config{TrainingServers: 2, InferenceServers: 1})
-		return New(c, mkJobs(), 3600, testFIFO{}, nil,
+		tp := testTopo(2, 1, testFIFO{})
+		return New(tp, mkJobs(), 3600,
 			Config{Audit: true, Rescan: rescan, MaxTime: 7200}).Run()
 	}
 	fast, ref := run(false), run(true)

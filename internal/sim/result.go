@@ -63,46 +63,57 @@ type Result struct {
 	HourlyQueuedRatio []float64
 }
 
+// result collects the run's Result, counters summed across shards. The
+// residual for servers still quarantined at the end of the run is
+// accumulated in global server ID order, so the float sum is deterministic.
 func (e *Engine) result() *Result {
 	r := &Result{
 		Jobs:               e.jobs,
 		Completed:          e.completed,
 		RanOnLoan:          e.ranOnLoan,
-		Preemptions:        e.st.Preemptions,
-		ScalingOps:         e.st.ScalingOps,
-		ReclaimOps:         e.st.ReclaimOps,
-		ReclaimedServers:   e.st.ReclaimedSrv,
-		Crashes:            e.st.Crashes,
-		Recoveries:         e.st.Recoveries,
-		SchedEpochs:        e.st.Epoch,
 		SkippedSchedEpochs: e.skippedEpochs,
 		TrainUsage:         e.trainUsage,
 		OverallUsage:       e.overallUsage,
 		OnLoanUsage:        e.onLoanUsage,
 	}
-	if n := len(e.jobs); n > 0 {
-		r.PreemptionRatio = float64(e.st.Preemptions) / float64(n)
+	var demand, vacated, flexSat, reclaimed int
+	for i, st := range e.sh.States {
+		r.Preemptions += st.Preemptions
+		r.ScalingOps += st.ScalingOps
+		r.ReclaimOps += st.ReclaimOps
+		r.Crashes += st.Crashes
+		r.Recoveries += st.Recoveries
+		reclaimed += st.ReclaimedSrv
+		flexSat += st.FlexSatisfied
+		demand += st.DemandGPUs
+		vacated += st.VacatedGPUs
+		if i < e.sh.NumTrain && st.Epoch > r.SchedEpochs {
+			r.SchedEpochs = st.Epoch
+		}
 	}
-	if e.st.DemandGPUs > 0 {
-		r.CollateralDamage = float64(e.st.VacatedGPUs-e.st.DemandGPUs) / float64(e.st.DemandGPUs)
+	r.ReclaimedServers = reclaimed
+	if n := len(e.jobs); n > 0 {
+		r.PreemptionRatio = float64(r.Preemptions) / float64(n)
+	}
+	if demand > 0 {
+		r.CollateralDamage = float64(vacated-demand) / float64(demand)
 		if r.CollateralDamage < 0 {
 			r.CollateralDamage = 0
 		}
 	}
-	if e.st.ReclaimedSrv > 0 {
-		r.FlexSatisfiedShare = float64(e.st.FlexSatisfied) / float64(e.st.ReclaimedSrv)
+	if reclaimed > 0 {
+		r.FlexSatisfiedShare = float64(flexSat) / float64(reclaimed)
 	}
-	r.LostCapacityGPUSec = e.st.LostGPUSec
-	if len(e.st.quarAt) > 0 {
-		// Residual for servers still quarantined at the end of the run,
-		// accumulated in server-ID order so the float sum is deterministic.
-		ids := make([]int, 0, len(e.st.quarAt))
-		for id := range e.st.quarAt {
+	r.LostCapacityGPUSec = e.lostGPUSec
+	if len(e.quarAt) > 0 {
+		ids := make([]int, 0, len(e.quarAt))
+		for id := range e.quarAt {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
 		for _, id := range ids {
-			r.LostCapacityGPUSec += (e.st.Now - e.st.quarAt[id]) * float64(e.st.Cluster.Server(id).NumGPUs)
+			gpus := e.sh.States[e.sh.Owner(id)].Cluster.Server(id).NumGPUs
+			r.LostCapacityGPUSec += (e.now - e.quarAt[id]) * float64(gpus)
 		}
 	}
 	r.HourlyQueuedRatio = make([]float64, len(e.hourlyArrived))

@@ -33,10 +33,20 @@ func smallCluster(training, inf int) *cluster.Cluster {
 	return cluster.New(cluster.Config{TrainingServers: training, InferenceServers: inf})
 }
 
+// testTopo carves training+inf servers into the 1+1 topology under
+// scheduler s, with no arbiter. Tests inspect the training shard's cluster
+// as tp.Train[0].
+func testTopo(training, inf int, s Scheduler) Topology {
+	cc := cluster.Config{TrainingServers: training, InferenceServers: inf}
+	train, infCls := cluster.Carve(cc, 1, 1)
+	return Topology{Train: train, Inf: infCls, Scheds: []Scheduler{s}, RefTopo: cluster.New(cc)}
+}
+
 func TestSingleJobLifecycle(t *testing.T) {
-	c := smallCluster(1, 0)
+	tp := testTopo(1, 0, fifoSched{})
+	c := tp.Train[0]
 	j := job.New(0, 100, job.Generic, 4, 1, 1, 500)
-	e := New(c, []*job.Job{j}, 86400, fifoSched{}, nil, Config{Audit: true})
+	e := New(tp, []*job.Job{j}, 86400, Config{Audit: true})
 	res := e.Run()
 	if res.Completed != 1 || j.State != job.Completed {
 		t.Fatalf("job not completed: %v", j.State)
@@ -60,10 +70,10 @@ func TestSingleJobLifecycle(t *testing.T) {
 }
 
 func TestQueuingWhenClusterFull(t *testing.T) {
-	c := smallCluster(1, 0)
+	tp := testTopo(1, 0, fifoSched{})
 	a := job.New(0, 0, job.Generic, 8, 1, 1, 1000)
 	b := job.New(1, 0, job.Generic, 8, 1, 1, 1000)
-	e := New(c, []*job.Job{a, b}, 86400, fifoSched{}, nil, Config{Audit: true})
+	e := New(tp, []*job.Job{a, b}, 86400, Config{Audit: true})
 	res := e.Run()
 	if res.Completed != 2 {
 		t.Fatal("jobs incomplete")
@@ -77,12 +87,13 @@ func TestQueuingWhenClusterFull(t *testing.T) {
 }
 
 func TestWorkConservationManyJobs(t *testing.T) {
-	c := smallCluster(4, 0)
+	tp := testTopo(4, 0, fifoSched{})
+	c := tp.Train[0]
 	var jobs []*job.Job
 	for i := 0; i < 40; i++ {
 		jobs = append(jobs, job.New(i, int64(i*137), job.Generic, 1+i%4, 1, 1, float64(200+73*i)))
 	}
-	e := New(c, jobs, 86400, fifoSched{}, nil, Config{Audit: true})
+	e := New(tp, jobs, 86400, Config{Audit: true})
 	res := e.Run()
 	if res.Completed != 40 {
 		t.Fatalf("completed %d/40", res.Completed)
@@ -105,12 +116,12 @@ func TestWorkConservationManyJobs(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() []int64 {
-		c := smallCluster(2, 0)
+		tp := testTopo(2, 0, fifoSched{})
 		var jobs []*job.Job
 		for i := 0; i < 25; i++ {
 			jobs = append(jobs, job.New(i, int64(i*311%2000), job.Generic, 1+i%3, 1, 1, float64(150+91*i)))
 		}
-		res := New(c, jobs, 86400, fifoSched{}, nil, Config{Audit: true}).Run()
+		res := New(tp, jobs, 86400, Config{Audit: true}).Run()
 		out := make([]int64, 0, len(res.Jobs))
 		for _, j := range res.Jobs {
 			out = append(out, j.FinishTime)
@@ -179,10 +190,10 @@ func TestPreemptionWithCheckpointKeepsProgress(t *testing.T) {
 }
 
 func TestOverheadDelaysCompletion(t *testing.T) {
-	c := smallCluster(1, 0)
+	tp := testTopo(1, 0, fifoSched{})
 	j := job.New(0, 0, job.Generic, 8, 1, 1, 300)
 	j.OverheadLeft = 63
-	e := New(c, []*job.Job{j}, 86400, fifoSched{}, nil, Config{Audit: true})
+	e := New(tp, []*job.Job{j}, 86400, Config{Audit: true})
 	res := e.Run()
 	if res.Completed != 1 {
 		t.Fatal("incomplete")
@@ -195,12 +206,11 @@ func TestOverheadDelaysCompletion(t *testing.T) {
 }
 
 func TestScaleOutAcceleratesJob(t *testing.T) {
-	c := smallCluster(1, 0)
 	j := job.New(0, 0, job.Generic, 2, 1, 4, 400) // work = 400*8 = 3200
 	j.Elastic = true
 
-	s := &scaleOnceSched{}
-	e := New(c, []*job.Job{j}, 86400, s, nil, Config{Audit: true})
+	tp := testTopo(1, 0, &scaleOnceSched{})
+	e := New(tp, []*job.Job{j}, 86400, Config{Audit: true})
 	res := e.Run()
 	if res.Completed != 1 {
 		t.Fatal("incomplete")
@@ -272,7 +282,7 @@ func TestRemoveFlexibleWorkers(t *testing.T) {
 }
 
 func TestHourlyQueuedRatio(t *testing.T) {
-	c := smallCluster(1, 0)
+	tp := testTopo(1, 0, fifoSched{})
 	// Job 0 fills the cluster for two hours; jobs 1 and 2 arrive in hours
 	// 0 and 1 and must queue.
 	jobs := []*job.Job{
@@ -280,7 +290,7 @@ func TestHourlyQueuedRatio(t *testing.T) {
 		job.New(1, 600, job.Generic, 8, 1, 1, 100),
 		job.New(2, 4000, job.Generic, 8, 1, 1, 100),
 	}
-	e := New(c, jobs, 6*3600, fifoSched{}, nil, Config{Audit: true})
+	e := New(tp, jobs, 6*3600, Config{Audit: true})
 	res := e.Run()
 	if res.Completed != 3 {
 		t.Fatal("incomplete")
@@ -294,10 +304,10 @@ func TestHourlyQueuedRatio(t *testing.T) {
 }
 
 func TestUsageSampledOverTraceWindowOnly(t *testing.T) {
-	c := smallCluster(1, 0)
+	tp := testTopo(1, 0, fifoSched{})
 	// One job occupying everything for far longer than the horizon.
 	j := job.New(0, 0, job.Generic, 8, 1, 1, 7200)
-	e := New(c, []*job.Job{j}, 3600, fifoSched{}, nil, Config{Audit: true})
+	e := New(tp, []*job.Job{j}, 3600, Config{Audit: true})
 	res := e.Run()
 	if res.Completed != 1 {
 		t.Fatal("incomplete")
@@ -313,11 +323,10 @@ func TestUsageSampledOverTraceWindowOnly(t *testing.T) {
 func TestStaleFinishEventIgnored(t *testing.T) {
 	// A job scaled mid-run generates a superseded finish event; the engine
 	// must not complete the job early.
-	c := smallCluster(1, 0)
 	j := job.New(0, 0, job.Generic, 2, 1, 4, 400)
 	j.Elastic = true
-	s := &scaleOnceSched{}
-	res := New(c, []*job.Job{j}, 86400, s, nil, Config{Audit: true}).Run()
+	tp := testTopo(1, 0, &scaleOnceSched{})
+	res := New(tp, []*job.Job{j}, 86400, Config{Audit: true}).Run()
 	if res.Completed != 1 {
 		t.Fatal("incomplete")
 	}
@@ -327,15 +336,12 @@ func TestStaleFinishEventIgnored(t *testing.T) {
 }
 
 func TestRanOnLoanTracking(t *testing.T) {
-	c := smallCluster(1, 1)
-	inf := c.PoolServers(cluster.PoolInference)[0]
-	if err := c.Move(inf.ID, cluster.PoolOnLoan); err != nil {
-		t.Fatal(err)
-	}
 	j := job.New(0, 0, job.Generic, 2, 1, 1, 100)
 	j.Fungible = true
-	s := &onLoanSched{}
-	res := New(c, []*job.Job{j}, 86400, s, nil, Config{Audit: true}).Run()
+	e := New(testTopo(1, 1, onLoanSched{}), []*job.Job{j}, 86400, Config{Audit: true})
+	// Loan the inference server (ID 1) to the training shard up front.
+	e.sh.Transfer(1, 0, cluster.PoolOnLoan)
+	res := e.Run()
 	if res.Completed != 1 {
 		t.Fatal("incomplete")
 	}

@@ -1,9 +1,12 @@
 // Package sim is the discrete-event cluster simulator used for Lyra's
 // large-scale evaluation (§7.1). It replays a job trace against a modeled
 // cluster, delegating decisions to a pluggable Scheduler (job-level
-// allocation and placement, §5) and Orchestrator (capacity loaning and
-// reclaiming, §4), and records the metrics the paper reports: queuing time,
-// JCT, GPU usage series, preemption counts and collateral damage.
+// allocation and placement, §5) and a ShardArbiter (job routing, capacity
+// loaning and reclaiming, §4), and records the metrics the paper reports:
+// queuing time, JCT, GPU usage series, preemption counts and collateral
+// damage. There is one engine: the cluster is always a topology of training
+// and inference shards (Topology, cluster.Carve), and the unsharded
+// configuration is its 1+1 case.
 package sim
 
 import (
@@ -26,13 +29,6 @@ import (
 type Scheduler interface {
 	Less(a, b *job.Job) bool
 	Schedule(st *State)
-}
-
-// Orchestrator executes capacity loaning: each orchestrator epoch it may
-// move servers between the inference and on-loan pools and preempt or scale
-// in jobs via the state.
-type Orchestrator interface {
-	Epoch(st *State)
 }
 
 // State is the scheduler-visible simulation state. All job/cluster mutation
@@ -125,14 +121,6 @@ type State struct {
 	held        map[int]*job.Job // jobs waiting out a backoff hold
 	heldUntil   map[int]float64  // job ID -> hold expiry time
 	newHolds    []holdRec        // holds placed since the engine last drained them
-
-	// quarAt records when each quarantined server went down, feeding the
-	// lost-capacity integral (LostGPUSec). Allocated lazily on first crash.
-	quarAt map[int]float64
-	// LostGPUSec accumulates GPU-seconds of quarantined capacity: each
-	// recovery adds downtime × the server's GPUs (result() adds the
-	// residual for servers still down at the end of the run).
-	LostGPUSec float64
 
 	// Counters surfaced in results.
 	Preemptions   int
@@ -792,10 +780,6 @@ func (st *State) CrashServer(sid int, less func(a, b *job.Job) bool) (cluster.Po
 	}
 	st.Crashes++
 	st.bump() // quarantine removes schedulable capacity even with no evictions
-	if st.quarAt == nil {
-		st.quarAt = make(map[int]float64)
-	}
-	st.quarAt[sid] = st.Now
 	if st.Obs.Enabled() {
 		st.Obs.Emit(obs.Ev(st.Now, obs.KindFaultCrash).WithF(obs.Fields{
 			"server": sid, "pool": origin.String(), "gpus": s.NumGPUs,
@@ -827,10 +811,6 @@ func (st *State) RecoverServer(sid int, to cluster.Pool) bool {
 	}
 	st.Recoveries++
 	st.bump() // returned capacity may unlock pending work
-	if at, ok := st.quarAt[sid]; ok {
-		st.LostGPUSec += (st.Now - at) * float64(s.NumGPUs)
-		delete(st.quarAt, sid)
-	}
 	if st.Obs.Enabled() {
 		st.Obs.Emit(obs.Ev(st.Now, obs.KindFaultRecover).WithF(obs.Fields{
 			"server": sid, "to": to.String(),

@@ -109,12 +109,12 @@ func TestRemoveFlexibleWorkersNoOps(t *testing.T) {
 }
 
 func TestBookkeepingMapsDroppedOnFinish(t *testing.T) {
-	c := smallCluster(4, 0)
+	tp := testTopo(4, 0, fifoSched{})
 	var jobs []*job.Job
 	for i := 0; i < 30; i++ {
 		jobs = append(jobs, job.New(i, int64(i*97), job.Generic, 1+i%3, 1, 1, float64(100+53*i)))
 	}
-	e := New(c, jobs, 86400, fifoSched{}, nil, Config{Audit: true})
+	e := New(tp, jobs, 86400, Config{Audit: true})
 	res := e.Run()
 	if res.Completed != 30 {
 		t.Fatalf("completed %d/30", res.Completed)

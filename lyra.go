@@ -39,12 +39,10 @@ import (
 	"lyra/internal/alloc"
 	"lyra/internal/cluster"
 	"lyra/internal/fault"
-	"lyra/internal/inference"
 	"lyra/internal/invariant"
 	"lyra/internal/job"
 	"lyra/internal/metrics"
 	"lyra/internal/obs"
-	"lyra/internal/orchestrator"
 	"lyra/internal/predict"
 	"lyra/internal/prof"
 	"lyra/internal/reclaim"
@@ -656,70 +654,7 @@ func RunProfiled(cfg Config, tr *Trace, p *prof.Profiler) (rep *Report, err erro
 	est := predict.WithError(cfg.FracWrongEstimate, cfg.MaxEstimateError, cfg.Seed+77)
 	est.Annotate(tr.Jobs)
 
-	if cfg.TrainingShards > 0 {
-		res := runSharded(cfg, tr, rec, p, psp)
-		psp = p.Start("report")
-		rep = buildReport(res, tr)
-		if cfg.Events {
-			rep.Events = buf.Bytes()
-		}
-		psp.End()
-		rep.Prof = p.Report()
-		return rep, nil
-	}
-
-	c := cluster.New(cfg.Cluster)
-	s := schedulerRegistry[cfg.Scheduler](cfg)
-
-	util := inference.GenerateUtilization(inference.DefaultUtilizationConfig(cfg.Seed+13), tr.Horizon, 300)
-	infSched := inference.NewScheduler(util, cfg.Cluster.InferenceServers, cfg.Headroom)
-
-	var orch sim.Orchestrator
-	if cfg.Loaning {
-		policy := reclaimRegistry[cfg.Reclaim](cfg)
-		var targeter orchestrator.LoanTargeter = infSched
-		if cfg.ProactiveReclaim {
-			targeter = orchestrator.NewForecaster(infSched, cfg.Seed+19)
-		}
-		o := orchestrator.New(targeter, policy, s.Less)
-		o.IncludeElasticDemand = cfg.Elastic && cfg.Scheduler != SchedFIFO
-		o.LoanOnlyDemand = cfg.Opportunistic
-		o.EmergencyReclaim = cfg.EmergencyReclaim
-		orch = o
-	}
-
-	// Post-normalization the config's zero values are literal; the
-	// simulator still treats zero as "default", so explicit zeros cross
-	// the boundary as the simulator's own negative sentinel.
-	preempt := cfg.PreemptOverhead
-	if preempt == 0 {
-		preempt = -1
-	}
-	simCfg := sim.Config{
-		SchedInterval:   cfg.SchedInterval,
-		OrchInterval:    cfg.OrchInterval,
-		MaxTime:         cfg.MaxTime,
-		PreemptOverhead: preempt,
-		Scaling:         cfg.Scaling,
-		InferenceUtil:   func(t int64) float64 { return infSched.UtilizationAt(t) },
-		Audit:           cfg.Audit,
-		Obs:             rec,
-	}
-	if cfg.Faults.Enabled() {
-		fp := cfg.Faults
-		simCfg.Faults = &fp
-	}
-	if cfg.RestartBackoff {
-		simCfg.BackoffBase = cfg.BackoffBase
-		simCfg.BackoffCap = cfg.BackoffCap
-	}
-	if cfg.QuarantineHysteresis {
-		simCfg.HystCrashes = cfg.HystCrashes
-		simCfg.HystWindow = cfg.HystWindow
-		simCfg.HystHold = cfg.HystHold
-	}
-	simCfg.Prof = p
-	eng := sim.New(c, tr.Jobs, tr.Horizon, s, orch, simCfg)
+	eng := newEngine(cfg, tr, rec, p)
 	psp.End()
 	psp = p.Start("sim")
 	res := eng.Run()

@@ -8,9 +8,12 @@
 #      byte-identical JSONL event streams (lyra-events -diff): the
 #      concurrent shard-scheduler goroutines may interleave arbitrarily,
 #      but the ID-ordered commit merge must erase the interleaving.
-#   3. A saturated topology (load factor 8) must force the
-#      arbitrator's optimistic loan protocol through its conflict path:
-#      the stream must contain arb.conflict events with the
+#   3. A 3+3 topology at load factor 1.5 must force the arbitrator's
+#      optimistic loan protocol through its conflict path: the arbiter
+#      charges each shard's loans against the global headroom, so a
+#      conflict needs an earlier shard that borrows less than the headroom
+#      while a later one still proposes from the stale snapshot. The
+#      stream must contain arb.conflict events with the
 #      loan-conflict-retry cause, and still audit clean.
 set -eu
 cd "$(dirname "$0")/.."
@@ -43,9 +46,9 @@ if [ "$routes" -eq 0 ]; then
 fi
 echo "4-shard stream deterministic ($routes jobs routed)"
 
-echo "== shard-smoke: forced loan-conflict path (saturated, load factor 8)"
-"$dir/lyra-sim" -scheme lyra -days 1 -training-servers 4 -inference-servers 8 \
-	-training-shards 2 -inference-shards 2 -seed 3 -load 8.0 \
+echo "== shard-smoke: forced loan-conflict path (3+3 shards, load factor 1.5)"
+"$dir/lyra-sim" -scheme lyra -days 1 -training-servers 12 -inference-servers 12 \
+	-training-shards 3 -inference-shards 3 -seed 2 -load 1.5 \
 	-audit -events "$dir/storm.jsonl" >/dev/null
 
 conflicts=$(grep -c '"kind":"arb.conflict"' "$dir/storm.jsonl" || true)
