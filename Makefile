@@ -112,9 +112,13 @@ bench:
 	$(GO) test -run NONE -bench BenchmarkEngineAudit -benchtime 10x ./internal/sim/
 
 # fuzz explores random start/scale/preempt/reclaim interleavings,
-# incremental-vs-rescan differential workloads and banded-vs-full-table
-# MCKP instances beyond the seed corpora that already run under `make test`.
+# incremental-vs-rescan differential workloads, banded-vs-full-table MCKP
+# instances, table-driven-vs-reference Pollux searches and fault-spec
+# ParsePlan/String round trips beyond the seed corpora that already run
+# under `make test`.
 fuzz:
 	$(GO) test -fuzz FuzzChaosInterleavings -fuzztime 60s ./internal/sim/
 	$(GO) test -fuzz FuzzIncrementalVsRescan -fuzztime 60s ./internal/sched/
 	$(GO) test -fuzz FuzzMultiChoiceVsFullTable -fuzztime 60s ./internal/knapsack/
+	$(GO) test -fuzz FuzzPolluxVsReference -fuzztime 60s ./internal/alloc/
+	$(GO) test -fuzz FuzzParsePlan -fuzztime 60s ./internal/fault/

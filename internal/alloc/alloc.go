@@ -83,9 +83,16 @@ func JCTReduction(j *job.Job, extra int, sm job.ScalingModel) float64 {
 // without the cache — the differential fuzz target and the golden stream
 // both pin this. One cache belongs to one scheduler instance (one run); it
 // is not safe for concurrent use.
+//
+// The cache also holds each job's Pollux goodput table (goodputTable): a
+// job's goodput depends on the same immutable inputs plus the efficiency
+// decay, which is fixed per cache.
 type ThroughputCache struct {
 	sm  job.ScalingModel
 	tbl map[int][]float64 // job ID → throughput at MinWorkers+k for k in [0, FlexRange]
+
+	gp      map[int][]float64 // job ID → goodput at w workers for w in [0, MaxWorkers]
+	gpDecay float64           // the decay gp was built for
 }
 
 // NewThroughputCache returns an empty cache for one run's scaling model.
@@ -122,6 +129,26 @@ func (c *ThroughputCache) jctReduction(j *job.Job, extra int) float64 {
 		return 0
 	}
 	return j.Remaining/base - j.Remaining/more
+}
+
+// goodputTable returns j's Pollux goodput table under decay, built on the
+// job's first lookup: table[w] == goodput(j, w, decay, c.sm) for w in
+// [0, MaxWorkers]. Each entry comes from its own goodput call, so a lookup
+// returns the very float the direct evaluation would. A call with another
+// decay than the tables were built for starts them afresh.
+func (c *ThroughputCache) goodputTable(j *job.Job, decay float64) []float64 {
+	if c.gp == nil || c.gpDecay != decay {
+		c.gp, c.gpDecay = make(map[int][]float64), decay
+	}
+	if t, ok := c.gp[j.ID]; ok {
+		return t
+	}
+	t := make([]float64, j.MaxWorkers+1)
+	for w := range t {
+		t[w] = goodput(j, w, decay, c.sm)
+	}
+	c.gp[j.ID] = t
+	return t
 }
 
 // appendItemExtras appends the candidate extra-worker counts for one job

@@ -1,8 +1,9 @@
 package alloc
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"lyra/internal/cluster"
 	"lyra/internal/job"
@@ -76,123 +77,178 @@ func goodput(j *job.Job, workers int, decay float64, sm job.ScalingModel) float6
 
 // Pollux searches for the allocation vector maximizing total goodput under
 // the GPU capacity, via a mutation-based genetic algorithm with incremental
-// fitness evaluation. candidates are pending or running jobs; running jobs
-// may be resized within their range but are never dropped to zero
-// (our adaptation is non-preemptive, matching the rest of the evaluation).
+// fitness evaluation. candidates are pending or running jobs with distinct
+// IDs; running jobs may be resized within their range but are never
+// dropped to zero (our adaptation is non-preemptive, matching the rest of
+// the evaluation). Pollux builds its working memory and goodput tables
+// afresh; a caller searching once per epoch should keep a PolluxScratch and
+// a ThroughputCache instead.
 func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg PolluxConfig, sm job.ScalingModel) []PolluxDecision {
+	var s PolluxScratch
+	return s.Pollux(candidates, running, capacityGPUs, cfg, sm, nil)
+}
+
+// PolluxScratch is Pollux's working memory, reused from call to call so a
+// steady-state search allocates only the returned decisions: the sorted
+// candidates, their floors and goodput-table slices, every genome of the
+// population plus one spare child buffer, the repair list and the seeded
+// generator. The zero value is ready to use. A scratch belongs to one
+// scheduler instance (one run) and is not safe for concurrent use.
+type PolluxScratch struct {
+	jobs       []*job.Job
+	floor      []int       // MinWorkers for a running candidate, else 0
+	gp         [][]float64 // candidate i's goodput by worker count
+	pop        []polluxGenome
+	arena      []int // population genomes and the child, n ints each
+	shrinkable []int
+	rng        *rand.Rand
+}
+
+type polluxGenome struct {
+	workers []int
+	gpus    int
+	fitness float64
+}
+
+// Pollux is the package-level Pollux on reused working memory. cache, when
+// non-nil, serves each job's goodput table from memory (ThroughputCache's
+// contract: a job's shape and the run's scaling model are fixed, and the
+// decay is fixed per cache), so a table is built once per job per run; nil
+// builds the tables for this call only. The decisions are the same either
+// way, and the same as the direct evaluation: every generator draw and
+// every floating-point operation happens in the same order.
+func (s *PolluxScratch) Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg PolluxConfig, sm job.ScalingModel, cache *ThroughputCache) []PolluxDecision {
 	cfg = cfg.withDefaults()
 	if len(candidates) == 0 || capacityGPUs <= 0 {
 		return nil
 	}
-	jobs := make([]*job.Job, len(candidates))
-	copy(jobs, candidates)
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
+	// IDs are distinct, so this order is the one any sort produces.
+	s.jobs = append(s.jobs[:0], candidates...)
+	slices.SortFunc(s.jobs, func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) })
+	jobs := s.jobs
 	if len(jobs) > cfg.MaxCandidates {
 		jobs = jobs[:cfg.MaxCandidates]
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	n := len(jobs)
 
-	type genome struct {
-		workers []int
-		gpus    int
-		fitness float64
+	// Resolve each candidate's floor and goodput table once per call.
+	if cache == nil {
+		cache = NewThroughputCache(sm) // tables for this call only
 	}
-	eval := func(g *genome) {
+	s.floor, s.gp = s.floor[:0], s.gp[:0]
+	for _, j := range jobs {
+		lo := 0
+		if running[j.ID] {
+			lo = j.MinWorkers
+		}
+		s.floor = append(s.floor, lo)
+		s.gp = append(s.gp, cache.goodputTable(j, cfg.EfficiencyDecay))
+	}
+	floor, gp := s.floor, s.gp
+
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		s.rng.Seed(cfg.Seed) // the same stream a fresh rand.NewSource(cfg.Seed) yields
+	}
+	rng := s.rng
+
+	eval := func(g *polluxGenome) {
 		g.gpus, g.fitness = 0, 0
 		for i, w := range g.workers {
 			g.gpus += w * jobs[i].GPUsPerWorker
-			g.fitness += goodput(jobs[i], w, cfg.EfficiencyDecay, sm)
+			g.fitness += gp[i][w]
 		}
 	}
-	feasible := func(g *genome) bool { return g.gpus <= capacityGPUs }
-	minOf := func(i int) int {
-		if running[jobs[i].ID] {
-			return jobs[i].MinWorkers
+	repair := func(g *polluxGenome) {
+		if g.gpus <= capacityGPUs {
+			return
 		}
-		return 0
-	}
-	var shrinkable []int
-	shrink := func(g *genome, i int) {
-		// Shrink within range, or drop a pending job entirely.
-		var next int
-		if g.workers[i] > jobs[i].MinWorkers {
-			next = g.workers[i] - 1
-		} else {
-			next = minOf(i)
-		}
-		g.gpus -= (g.workers[i] - next) * jobs[i].GPUsPerWorker
-		g.fitness += goodput(jobs[i], next, cfg.EfficiencyDecay, sm) -
-			goodput(jobs[i], g.workers[i], cfg.EfficiencyDecay, sm)
-		g.workers[i] = next
-	}
-	repair := func(g *genome, rng *rand.Rand) {
-		for g.gpus > capacityGPUs {
-			shrinkable = shrinkable[:0]
-			for i := range jobs {
-				if g.workers[i] > minOf(i) {
-					shrinkable = append(shrinkable, i)
-				}
+		shrinkable := s.shrinkable[:0]
+		for i, w := range g.workers {
+			if w > floor[i] {
+				shrinkable = append(shrinkable, i)
 			}
-			if len(shrinkable) == 0 {
-				return
-			}
+		}
+		for g.gpus > capacityGPUs && len(shrinkable) > 0 {
 			// Shrink a random victim repeatedly until feasible or it
-			// bottoms out, then re-scan.
-			i := shrinkable[rng.Intn(len(shrinkable))]
-			for g.gpus > capacityGPUs && g.workers[i] > minOf(i) {
-				shrink(g, i)
+			// bottoms out at its floor. Either way it leaves the list:
+			// a feasible genome ends the loop, and no other candidate's
+			// workers changed, so the list stays what a rescan would build.
+			k := rng.Intn(len(shrinkable))
+			i := shrinkable[k]
+			j, t := jobs[i], gp[i]
+			for g.gpus > capacityGPUs && g.workers[i] > floor[i] {
+				// Shrink within range, or drop a pending job entirely.
+				cur, next := g.workers[i], floor[i]
+				if cur > j.MinWorkers {
+					next = cur - 1
+				}
+				g.gpus -= (cur - next) * j.GPUsPerWorker
+				g.fitness += t[next] - t[cur]
+				g.workers[i] = next
 			}
+			shrinkable = append(shrinkable[:k], shrinkable[k+1:]...)
 		}
+		s.shrinkable = shrinkable
 	}
 
 	// Seed the population: genome 0 packs pending jobs greedily at base
 	// demand in candidate order (a launch-friendly starting point the
 	// search refines), genome 1 keeps everything at its floor, the rest
 	// are random.
-	pop := make([]*genome, cfg.Population)
+	size := (cfg.Population + 1) * n
+	s.arena = slices.Grow(s.arena[:0], size)[:size]
+	if cap(s.pop) < cfg.Population {
+		s.pop = make([]polluxGenome, cfg.Population)
+	}
+	pop := s.pop[:cfg.Population]
 	for p := range pop {
-		g := &genome{workers: make([]int, len(jobs))}
+		g := &pop[p]
+		g.workers = s.arena[p*n : (p+1)*n : (p+1)*n]
 		budget := capacityGPUs
 		for i, j := range jobs {
 			switch {
 			case p == 0:
-				w := minOf(i)
+				w := floor[i]
 				if w == 0 && j.BaseGPUs() <= budget {
 					w = j.MinWorkers
 				}
 				budget -= w * j.GPUsPerWorker
 				g.workers[i] = w
 			case p == 1 || rng.Float64() < 0.5:
-				g.workers[i] = minOf(i)
+				g.workers[i] = floor[i]
 			default:
 				g.workers[i] = j.MinWorkers + rng.Intn(j.FlexRange()+1)
 			}
 		}
 		eval(g)
-		repair(g, rng)
-		pop[p] = g
+		repair(g)
 	}
 
-	best := pop[0]
-	for _, g := range pop[1:] {
-		if g.fitness > best.fitness {
-			best = g
+	best := &pop[0]
+	for p := 1; p < len(pop); p++ {
+		if pop[p].fitness > best.fitness {
+			best = &pop[p]
 		}
 	}
+	// child is the one spare buffer: an accepted child swaps it with the
+	// victim's, so no genome is ever allocated inside the loop.
+	child := polluxGenome{workers: s.arena[cfg.Population*n : size : size]}
 	for it := 0; it < cfg.Iterations; it++ {
 		// Tournament: mutate a copy of a good genome, replace a bad one.
-		a, b := pop[rng.Intn(len(pop))], pop[rng.Intn(len(pop))]
+		a, b := &pop[rng.Intn(len(pop))], &pop[rng.Intn(len(pop))]
 		parent, victim := a, b
 		if b.fitness > a.fitness {
 			parent, victim = b, a
 		}
-		child := &genome{workers: append([]int(nil), parent.workers...), gpus: parent.gpus, fitness: parent.fitness}
+		copy(child.workers, parent.workers)
+		child.gpus, child.fitness = parent.gpus, parent.fitness
 		for m := 0; m < 1+rng.Intn(3); m++ {
-			i := rng.Intn(len(jobs))
+			i := rng.Intn(n)
 			j := jobs[i]
-			lo := minOf(i)
 			var next int
-			if rng.Float64() < 0.3 && lo == 0 {
+			if rng.Float64() < 0.3 && floor[i] == 0 {
 				// Toggle scheduling of a pending job.
 				if child.workers[i] == 0 {
 					next = j.MinWorkers
@@ -203,25 +259,24 @@ func Pollux(candidates []*job.Job, running map[int]bool, capacityGPUs int, cfg P
 				next = j.MinWorkers + rng.Intn(j.FlexRange()+1)
 			}
 			child.gpus += (next - child.workers[i]) * j.GPUsPerWorker
-			child.fitness += goodput(j, next, cfg.EfficiencyDecay, sm) -
-				goodput(j, child.workers[i], cfg.EfficiencyDecay, sm)
+			child.fitness += gp[i][next] - gp[i][child.workers[i]]
 			child.workers[i] = next
 		}
-		repair(child, rng)
-		if !feasible(child) {
+		repair(&child)
+		if child.gpus > capacityGPUs {
 			continue
 		}
-		*victim = *child
-		if child.fitness > best.fitness {
+		victim.workers, child.workers = child.workers, victim.workers
+		victim.gpus, victim.fitness = child.gpus, child.fitness
+		if victim.fitness > best.fitness {
 			best = victim
 		}
 	}
 
-	out := make([]PolluxDecision, 0, len(jobs))
+	out := make([]PolluxDecision, 0, n)
 	for i, w := range best.workers {
-		lo := minOf(i)
-		if w < lo {
-			w = lo
+		if w < floor[i] {
+			w = floor[i]
 		}
 		out = append(out, PolluxDecision{ID: jobs[i].ID, Workers: w})
 	}

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"math/rand"
 	"testing"
 
 	"lyra/internal/job"
@@ -112,5 +113,55 @@ func TestGoodputDiminishingReturns(t *testing.T) {
 	}
 	if g := goodput(j, 2, 0.06, job.Linear); g != 1 {
 		t.Errorf("base-demand goodput = %v, want 1 (normalized)", g)
+	}
+}
+
+// polluxBenchJobs builds n candidates at a contended scheduler's shape:
+// mixed GPUs per worker, rigid and elastic jobs, every third one running.
+// It also returns the running set and the GPUs of everyone's full demand.
+func polluxBenchJobs(n int) ([]*job.Job, map[int]bool, int) {
+	rng := rand.New(rand.NewSource(5))
+	jobs := make([]*job.Job, n)
+	running := make(map[int]bool)
+	demand := 0
+	for i := range jobs {
+		lo := rng.Intn(4) + 1
+		j := job.New(i+1, 0, job.Generic, 1<<rng.Intn(4), lo, lo+rng.Intn(9), 100)
+		j.Elastic = j.FlexRange() > 0
+		if i%3 == 0 {
+			running[j.ID] = true
+		}
+		jobs[i] = j
+		demand += j.MaxGPUs()
+	}
+	return jobs, running, demand
+}
+
+// BenchmarkPollux times one scheduler's steady-state search: 300
+// candidates, a third running, capacity a third of the demand, warm cache
+// and reused scratch.
+func BenchmarkPollux(b *testing.B) {
+	jobs, running, demand := polluxBenchJobs(300)
+	cache := NewThroughputCache(job.Imperfect)
+	var s PolluxScratch
+	s.Pollux(jobs, running, demand/3, DefaultPolluxConfig(1), job.Imperfect, cache)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Pollux(jobs, running, demand/3, DefaultPolluxConfig(int64(i)), job.Imperfect, cache)
+	}
+}
+
+func TestPolluxSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under -race")
+	}
+	jobs, running, demand := polluxBenchJobs(300)
+	cache := NewThroughputCache(job.Imperfect)
+	var s PolluxScratch
+	s.Pollux(jobs, running, demand/3, DefaultPolluxConfig(1), job.Imperfect, cache)
+	// Only the returned decisions.
+	if n := testing.AllocsPerRun(20, func() { s.Pollux(jobs, running, demand/3, DefaultPolluxConfig(2), job.Imperfect, cache) }); n > 1 {
+		t.Errorf("%v allocs per steady-state Pollux, want at most 1", n)
 	}
 }

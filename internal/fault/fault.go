@@ -26,6 +26,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -110,39 +111,67 @@ func (p *Plan) Enabled() bool {
 // of every enabled injection: ServerMTTR 600 when server crashes are on,
 // RackMTTR 900 / ZoneMTTR 1800 when the corresponding domain outages are
 // on, SlowFactor 0.5 with stragglers, MaxLaunchRetries 5 with launch
-// failures. It is idempotent, and every disabled plan — including one
-// carrying a stray seed, retry bound or orphaned MTTR but no injection —
-// normalizes to the zero Plan, so "no faults" has exactly one canonical
-// form under the runner's content hashing and a leftover -fault-seed can
-// never split the memoization cache.
+// failures. The knobs of every disabled injection are zeroed. It is
+// idempotent, and every disabled plan — including one carrying a stray
+// seed, retry bound or orphaned MTTR but no injection — normalizes to the
+// zero Plan, so "no faults" has exactly one canonical form under the
+// runner's content hashing and a leftover -fault-seed can never split the
+// memoization cache. Likewise an enabled plan has one canonical form: an
+// orphaned MTTR or slow factor, which String never renders, cannot split
+// it either.
 func (p Plan) Normalize() Plan {
 	if !p.Enabled() {
 		return Plan{}
 	}
-	if p.ServerMTBF > 0 && p.ServerMTTR == 0 {
-		p.ServerMTTR = 600
-	}
-	if p.RackOutMTBF > 0 && p.RackMTTR == 0 {
-		p.RackMTTR = 900
-	}
-	if p.ZoneOutMTBF > 0 && p.ZoneMTTR == 0 {
-		p.ZoneMTTR = 1800
-	}
-	if p.StragglerFrac > 0 && p.SlowFactor == 0 {
-		p.SlowFactor = 0.5
-	}
-	if p.LaunchFailProb > 0 && p.MaxLaunchRetries == 0 {
+	p.ServerMTBF, p.ServerMTTR = normalizePair(p.ServerMTBF, p.ServerMTTR, 600)
+	p.RackOutMTBF, p.RackMTTR = normalizePair(p.RackOutMTBF, p.RackMTTR, 900)
+	p.ZoneOutMTBF, p.ZoneMTTR = normalizePair(p.ZoneOutMTBF, p.ZoneMTTR, 1800)
+	p.StragglerFrac, p.SlowFactor = normalizePair(p.StragglerFrac, p.SlowFactor, 0.5)
+	switch {
+	case p.LaunchFailProb <= 0:
+		p.LaunchFailProb, p.MaxLaunchRetries = 0, 0
+	case p.MaxLaunchRetries == 0:
 		p.MaxLaunchRetries = 5
 	}
+	p.RPCErrProb = max(p.RPCErrProb, 0)
+	p.RPCDelay = max(p.RPCDelay, 0)
 	return p
 }
 
-// Validate reports the first out-of-domain field. It checks the raw fields
-// — not the normalized form — so a negative rate is rejected even though
-// Normalize would canonicalize such a disabled plan away; zero-valued
-// dependent fields (SlowFactor, MaxLaunchRetries) are fine because
-// Normalize fills their defaults.
+// normalizePair canonicalizes one injection knob and its dependent field:
+// both zero when the knob is off, the dependent's default when it is on
+// and the dependent unset.
+func normalizePair(knob, dep, def float64) (float64, float64) {
+	switch {
+	case knob <= 0:
+		return 0, 0
+	case dep == 0:
+		return knob, def
+	}
+	return knob, dep
+}
+
+// Validate reports the first out-of-domain field, NaN and ±Inf included.
+// It checks the raw fields — not the normalized form — so a negative or
+// NaN rate is rejected even though Normalize would canonicalize such a
+// disabled plan away; zero-valued dependent fields (SlowFactor,
+// MaxLaunchRetries) are fine because Normalize fills their defaults.
 func (p Plan) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"ServerMTBF", p.ServerMTBF}, {"ServerMTTR", p.ServerMTTR},
+		{"RackOutMTBF", p.RackOutMTBF}, {"RackMTTR", p.RackMTTR},
+		{"ZoneOutMTBF", p.ZoneOutMTBF}, {"ZoneMTTR", p.ZoneMTTR},
+		{"StragglerFrac", p.StragglerFrac}, {"SlowFactor", p.SlowFactor},
+		{"LaunchFailProb", p.LaunchFailProb}, {"RPCErrProb", p.RPCErrProb},
+		{"RPCDelay", p.RPCDelay},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fault: %s %v not finite", f.name, f.v)
+		}
+	}
 	switch {
 	case p.ServerMTBF < 0:
 		return fmt.Errorf("fault: ServerMTBF %v negative", p.ServerMTBF)
@@ -175,10 +204,11 @@ func (p Plan) Validate() error {
 // ParsePlan decodes the CLI fault spec: a comma-separated key=value list,
 // e.g. "mtbf=21600,mttr=600,straggler=0.1,slow=0.5,launchfail=0.05,
 // rpcerr=0.05,rpcdelay=0.001,seed=7". Unknown keys are rejected with the
-// valid list; the result is normalized and validated.
+// valid list; the result is normalized and validated. An empty spec and
+// "none" (String's rendering of the zero plan) parse to the zero plan.
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
-	if strings.TrimSpace(spec) == "" {
+	if s := strings.TrimSpace(spec); s == "" || s == "none" {
 		return p, nil
 	}
 	for _, part := range strings.Split(spec, ",") {

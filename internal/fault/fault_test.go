@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -74,6 +76,46 @@ func TestValidate(t *testing.T) {
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("plan %+v: want error, got nil", p)
+		}
+	}
+	// NaN and ±Inf fail every comparison the domain checks make, so each
+	// float field is checked for them by name.
+	floats := map[string]func(*Plan, float64){
+		"ServerMTBF":     func(p *Plan, v float64) { p.ServerMTBF = v },
+		"ServerMTTR":     func(p *Plan, v float64) { p.ServerMTTR = v },
+		"RackOutMTBF":    func(p *Plan, v float64) { p.RackOutMTBF = v },
+		"RackMTTR":       func(p *Plan, v float64) { p.RackMTTR = v },
+		"ZoneOutMTBF":    func(p *Plan, v float64) { p.ZoneOutMTBF = v },
+		"ZoneMTTR":       func(p *Plan, v float64) { p.ZoneMTTR = v },
+		"StragglerFrac":  func(p *Plan, v float64) { p.StragglerFrac = v },
+		"SlowFactor":     func(p *Plan, v float64) { p.SlowFactor = v },
+		"LaunchFailProb": func(p *Plan, v float64) { p.LaunchFailProb = v },
+		"RPCErrProb":     func(p *Plan, v float64) { p.RPCErrProb = v },
+		"RPCDelay":       func(p *Plan, v float64) { p.RPCDelay = v },
+	}
+	for name, set := range floats {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := Plan{ServerMTBF: 3600}
+			set(&p, v)
+			err := p.Validate()
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %v: got %v, want an error naming the field", name, v, err)
+			}
+		}
+	}
+}
+
+func TestNormalizeDropsOrphanedKnobs(t *testing.T) {
+	// String renders no knob of a disabled injection, so Normalize must
+	// drop them for an enabled plan to have one canonical form.
+	p := Plan{Seed: 2, StragglerFrac: 0.1, ServerMTTR: 300, RackMTTR: 60, ZoneMTTR: 60, MaxLaunchRetries: 3, RPCDelay: math.Copysign(0, -1)}
+	want := Plan{Seed: 2, StragglerFrac: 0.1, SlowFactor: 0.5}
+	if n := p.Normalize(); n != want || math.Signbit(n.RPCDelay) {
+		t.Fatalf("Normalize = %#v, want %#v", n, want)
+	}
+	for _, s := range []string{"none", " none "} {
+		if p, err := ParsePlan(s); err != nil || p != (Plan{}) {
+			t.Errorf("ParsePlan(%q) = %#v, %v; want the zero plan (String renders it so)", s, p, err)
 		}
 	}
 }

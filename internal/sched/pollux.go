@@ -18,6 +18,12 @@ import (
 type Pollux struct {
 	Config alloc.PolluxConfig
 	epoch  int64
+
+	// cache memoizes per-job goodput tables (alloc.ThroughputCache: pure
+	// memoization, bit-identical decisions) and ga is the search's working
+	// memory, both reused across epochs and per-instance.
+	cache *alloc.ThroughputCache
+	ga    alloc.PolluxScratch
 }
 
 // NewPollux returns the scheduler with the evaluation configuration.
@@ -59,8 +65,11 @@ func (p *Pollux) Schedule(st *sim.State) {
 	}
 	cfg := p.Config
 	cfg.Seed = p.Config.Seed*1000003 + p.epoch // fresh but deterministic search each epoch
+	if p.cache == nil && !st.Rescan {
+		p.cache = alloc.NewThroughputCache(st.Scaling)
+	}
 	sp := st.Prof.Start("pollux.ga")
-	decisions := alloc.Pollux(cands, running, freeT+freeL+heldGPUs, cfg, st.Scaling)
+	decisions := p.ga.Pollux(cands, running, freeT+freeL+heldGPUs, cfg, st.Scaling, p.cache)
 	sp.End()
 	sp = st.Prof.Start("pollux.apply")
 	defer sp.End()

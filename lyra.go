@@ -32,6 +32,7 @@ package lyra
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -440,11 +441,34 @@ func (c Config) Normalize() Config {
 // Validate reports the first problem that would otherwise surface as a
 // panic or a silently wrong run deep inside Run: unknown scheme kinds (with
 // the registered alternatives listed), out-of-range fractions, and
-// non-positive intervals. It validates the normalized form, so zero-valued
-// fields are fine. Every error names the offending field and the rejected
-// value, so spec-file compilation (CompileSpec) can point at the exact
-// field of the exact scheme entry that produced it.
+// non-positive intervals. NaN and ±Inf are rejected in every float field,
+// whatever its default. It validates the normalized form, so zero-valued
+// fields are fine; the fault plan alone is validated raw, because
+// normalizing canonicalizes an out-of-domain disabled plan away (see
+// fault.Plan.Validate). Every error names the offending field and the
+// rejected value, so spec-file compilation (CompileSpec) can point at the
+// exact field of the exact scheme entry that produced it.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"FracWrongEstimate", c.FracWrongEstimate}, {"MaxEstimateError", c.MaxEstimateError},
+		{"Headroom", c.Headroom}, {"MaxTime", c.MaxTime},
+		{"PreemptOverhead", c.PreemptOverhead}, {"StabilityBonus", c.StabilityBonus},
+		{"Scaling.PerWorkerLoss", c.Scaling.PerWorkerLoss},
+		{"Scaling.HeteroPenalty", c.Scaling.HeteroPenalty},
+		{"Scaling.TunedGain", c.Scaling.TunedGain},
+		{"BackoffBase", c.BackoffBase}, {"BackoffCap", c.BackoffCap},
+		{"HystWindow", c.HystWindow}, {"HystHold", c.HystHold},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("lyra: %s %v not finite", f.name, f.v)
+		}
+	}
+	if err := c.Faults.Validate(); err != nil {
+		return fmt.Errorf("lyra: Faults: %w", err)
+	}
 	n := c.Normalize()
 	if !n.Scheduler.Valid() {
 		return fmt.Errorf("lyra: Scheduler: unknown scheduler %q (valid: %s)", n.Scheduler, kindList(Schedulers()))
@@ -506,9 +530,6 @@ func (c Config) Validate() error {
 		if n.HystHold <= 0 {
 			return fmt.Errorf("lyra: HystHold %v must be positive with QuarantineHysteresis on", n.HystHold)
 		}
-	}
-	if err := n.Faults.Validate(); err != nil {
-		return fmt.Errorf("lyra: Faults: %w", err)
 	}
 	if n.TrainingShards < 0 || n.InferenceShards < 0 {
 		return fmt.Errorf("lyra: negative shard count (training %d, inference %d)", n.TrainingShards, n.InferenceShards)

@@ -2,6 +2,7 @@ package lyra
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -114,6 +115,64 @@ func TestValidateBoundsPhase2MaxItems(t *testing.T) {
 		}
 		if msg := err.Error(); !strings.Contains(msg, "Phase2MaxItems") || !strings.Contains(msg, strconv.Itoa(n)) {
 			t.Errorf("error %q does not name the field and value %d", msg, n)
+		}
+	}
+}
+
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(c *Config, v float64)
+	}{
+		{"FracWrongEstimate", func(c *Config, v float64) { c.FracWrongEstimate = v }},
+		{"MaxEstimateError", func(c *Config, v float64) { c.MaxEstimateError = v }},
+		{"Headroom", func(c *Config, v float64) { c.Headroom = v }},
+		{"MaxTime", func(c *Config, v float64) { c.MaxTime = v }},
+		{"PreemptOverhead", func(c *Config, v float64) { c.PreemptOverhead = v }},
+		{"StabilityBonus", func(c *Config, v float64) { c.StabilityBonus = v }},
+		{"Scaling.PerWorkerLoss", func(c *Config, v float64) { c.Scaling.PerWorkerLoss = v }},
+		{"Scaling.HeteroPenalty", func(c *Config, v float64) { c.Scaling.HeteroPenalty = v }},
+		{"Scaling.TunedGain", func(c *Config, v float64) { c.Scaling.TunedGain = v }},
+		// The policy knobs are rejected with their policy off too.
+		{"BackoffBase", func(c *Config, v float64) { c.BackoffBase = v }},
+		{"BackoffCap", func(c *Config, v float64) { c.BackoffCap = v }},
+		{"HystWindow", func(c *Config, v float64) { c.HystWindow = v }},
+		{"HystHold", func(c *Config, v float64) { c.HystHold = v }},
+		// A crash-free plan: normalizing would drop the orphaned MTTR.
+		{"ServerMTTR", func(c *Config, v float64) { c.Faults.ServerMTTR = v }},
+		// Normalizing would turn this plan into "no faults".
+		{"ServerMTBF", func(c *Config, v float64) { c.Faults.ServerMTBF = v }},
+		{"ServerMTTR", func(c *Config, v float64) { c.Faults = FaultPlan{ServerMTBF: 3600, ServerMTTR: v} }},
+		{"SlowFactor", func(c *Config, v float64) { c.Faults = FaultPlan{StragglerFrac: 0.1, SlowFactor: v} }},
+		{"RPCDelay", func(c *Config, v float64) { c.Faults.RPCDelay = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			f.set(&cfg, v)
+			err := cfg.Validate()
+			if err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, f.name) || !strings.Contains(msg, "not finite") {
+				t.Errorf("%s = %v: error %q does not name the field", f.name, v, msg)
+			}
+		}
+	}
+	// Run validates too: a NaN MTTR used to run to completion with fewer
+	// jobs finished, and NaN Headroom/StabilityBonus silently ran.
+	tr := smallTrace(1)
+	for name, set := range map[string]func(*Config){
+		"Headroom":       func(c *Config) { c.Headroom = math.NaN() },
+		"StabilityBonus": func(c *Config) { c.StabilityBonus = math.NaN() },
+		"ServerMTTR":     func(c *Config) { c.Faults = FaultPlan{Seed: 1, ServerMTBF: 43200, ServerMTTR: math.NaN()} },
+	} {
+		cfg := DefaultConfig()
+		cfg.Cluster = smallCluster()
+		set(&cfg)
+		if _, err := Run(cfg, tr); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("Run with %s NaN: err %v, want one naming the field", name, err)
 		}
 	}
 }
